@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--csv <dir>] [--bench-json <path>] [--exec-bench-json <path>]
-//!       [--timing-bench-json <path>] [--jobs N] [experiment...]
+//!       [--jobs N] [experiment...]
 //!
 //! experiments:
 //!   table1 table2 table3 table4   the paper's input tables
@@ -18,7 +18,6 @@
 //!   ablation                      design-choice ablations
 //!   characterize                  workload characterization table
 //!   exec-bench                    executor throughput, SoA vs reference
-//!   timing-bench                  timing-model throughput, staged vs reference + SM scaling
 //!   hints                         last-use allocation hints, off vs on
 //!   all                           everything except the benches and hints (default)
 //! ```
@@ -43,19 +42,12 @@
 //! `--exec-bench-json <path>` additionally writes its result as JSON
 //! (schema `rfh-exec-bench-v1`); `RFH_EXEC_BENCH_REPS` overrides the
 //! timed repetition count (default 5).
-//!
-//! `timing-bench` follows the same rules for the cycle-level timing
-//! model: staged vs reference traces/sec plus the multi-SM scaling
-//! curve, wall-clock and therefore excluded from `all`.
-//! `--timing-bench-json <path>` writes the `rfh-timing-bench-v1`
-//! document (committed as `BENCH_timing.json`); `RFH_TIMING_BENCH_REPS`
-//! overrides the repetition count (default 5).
 
 use std::time::Instant;
 
 use rfh_experiments::{
     ablation, characterize, encoding, exec_bench, fig11, fig12, fig13, fig14, fig15, fig2, hints,
-    limit, perf, tables, timing_bench, ExperimentCtx,
+    limit, perf, tables, ExperimentCtx,
 };
 
 /// Reports an I/O failure on a user-supplied path and exits with the
@@ -86,8 +78,6 @@ fn main() {
     let bench_json = take_flag(&mut args, "--bench-json");
     // `--exec-bench-json <path>` records the exec-bench result as JSON.
     let exec_bench_json = take_flag(&mut args, "--exec-bench-json");
-    // `--timing-bench-json <path>` records the timing-bench result.
-    let timing_bench_json = take_flag(&mut args, "--timing-bench-json");
     // `--jobs N` overrides the `RFH_JOBS` pool knob; it shares the knob
     // parser, so a malformed value warns loudly and falls back instead of
     // silently diverging from the env-var behavior.
@@ -223,19 +213,6 @@ fn main() {
                     eprintln!("[wrote {path}]");
                 }
                 exec_bench::print(&b)
-            }
-            "timing-bench" => {
-                let reps = rfh_testkit::env::usize_knob("RFH_TIMING_BENCH_REPS")
-                    .unwrap_or(5)
-                    .max(1);
-                let b = timing_bench::run(&workloads, reps);
-                if let Some(path) = &timing_bench_json {
-                    if let Err(e) = std::fs::write(path, timing_bench::json(&b)) {
-                        io_fail("write", path, e);
-                    }
-                    eprintln!("[wrote {path}]");
-                }
-                timing_bench::print(&b)
             }
             other => {
                 eprintln!("unknown experiment `{other}` (try: repro all)");

@@ -22,7 +22,6 @@
 //! | [`ablation`] | design-choice ablations (optimizations, LRF shape, priority, RFC policy) |
 //! | [`characterize`] | workload characterization (instruction mix, divergence, strands) |
 //! | [`exec_bench`] | executor throughput: SoA engine vs reference oracle (not in `repro all`) |
-//! | [`timing_bench`] | timing-model throughput: staged vs reference, multi-SM scaling (not in `repro all`) |
 //! | [`hints`] | last-use allocation hints: accesses/energy, `--hints` off vs on (not in `repro all`) |
 //!
 //! All experiments execute every workload to completion (the paper's
@@ -55,7 +54,6 @@ pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod tables;
-pub mod timing_bench;
 
 pub use ctx::ExperimentCtx;
 pub use runner::{baseline_counts, hw_counts, sw_counts};

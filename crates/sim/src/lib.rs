@@ -25,9 +25,8 @@
 //!   flush on deschedule), in two- and three-level variants;
 //! * [`usage`] — dynamic register value usage statistics (Figure 2);
 //! * [`timing`] — a cycle-level model of the two-level warp scheduler
-//!   verifying the no-performance-loss claim, recomposed from
-//!   latency-insensitive stage combinators ([`timing::stage`]) with the
-//!   original engine frozen as a differential oracle
+//!   verifying the no-performance-loss claim, one concrete scheduler
+//!   loop with the original engine frozen as a differential oracle
 //!   ([`timing::reference`]), and scaled to N SMs sharing a memory model
 //!   ([`timing::multi_sm`]).
 //!

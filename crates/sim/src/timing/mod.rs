@@ -21,16 +21,14 @@
 //!
 //! Two engines implement those semantics:
 //!
-//! * [`Engine::Staged`] (the default) — the scheduler recomposed from the
-//!   latency-insensitive stage vocabulary in [`stage`] (valid/ready
-//!   handshakes, FIFOs, skid buffers, round-robin and priority arbiters,
-//!   fixed-latency pipes, credit-based flow control), so bank
-//!   arbitration, operand buffering, and the scheduler policy are
-//!   swappable parts instead of hand-woven loops;
+//! * [`Engine::Staged`] (the default) — one concrete scheduler loop that
+//!   also models a bank-arbitrated MRF ([`BankPolicy::Arbitrated`]) with
+//!   per-bank operand buffers;
 //! * [`Engine::Reference`] — the original bespoke engine, frozen in
-//!   [`reference`] as the differential oracle the staged engine is
+//!   [`reference`] as the differential oracle the default engine is
 //!   conformance-tested against (`tests/timing_differential.rs` and the
-//!   chaos `run_timing_layer`).
+//!   chaos `run_timing_layer`). It predates bank modeling and rejects
+//!   [`BankPolicy::Arbitrated`].
 //!
 //! [`multi_sm`] scales the model beyond one SM: CTAs distribute
 //! round-robin across N SM contexts that share a [`MemoryModel`], and the
@@ -47,7 +45,6 @@ use crate::sink::{InstrEvent, TraceSink};
 
 pub mod multi_sm;
 pub mod reference;
-pub mod stage;
 mod staged;
 
 pub use multi_sm::{simulate_multi_sm, MemoryModel, MultiSmConfig, MultiSmResult, SmResult};
@@ -66,7 +63,8 @@ pub const DEFAULT_MAX_CYCLES: u64 = 1_000_000_000;
 /// divergence from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The stage-combinator engine (the default).
+    /// The default engine, one concrete scheduler loop. The name is kept
+    /// for CLI/API compatibility (`--engine staged`).
     #[default]
     Staged,
     /// The frozen pre-refactor engine ([`reference`]), the oracle.
@@ -370,7 +368,7 @@ pub enum SchedPolicy {
     Greedy,
 }
 
-/// MRF read-port model of the staged engine's operand-collection stage.
+/// MRF read-port model of the default engine's operand collection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BankPolicy {
     /// Infinitely ported MRF: operand reads never stall. This is the
@@ -379,8 +377,8 @@ pub enum BankPolicy {
     #[default]
     Ideal,
     /// Single-ported banks with one read grant per bank per cycle:
-    /// same-bank operand reads serialize through per-bank operand-buffer
-    /// FIFOs, delaying issue (staged engine only). Unlocks the
+    /// same-bank operand reads serialize through per-bank operand
+    /// buffers, delaying dependents (default engine only). Unlocks the
     /// bank-contention-sensitive techniques of the related work
     /// (GREENER, compiler-assisted RFC replacement).
     Arbitrated {
@@ -404,7 +402,7 @@ pub struct TimingConfig {
     pub two_level: bool,
     /// Warp selection policy.
     pub policy: SchedPolicy,
-    /// MRF read-port model (staged engine only; the reference engine
+    /// MRF read-port model (default engine only; the reference engine
     /// rejects anything but [`BankPolicy::Ideal`]).
     pub bank_policy: BankPolicy,
     /// Cycle budget: the simulation aborts with

@@ -1,30 +1,17 @@
-//! The stage-combinator timing engine ([`super::Engine::Staged`]).
-//!
-//! Same semantics as [`super::reference`], recomposed from the
-//! [`super::stage`] vocabulary so each scheduler concern is an explicit,
-//! swappable part:
-//!
-//! * active-set occupancy — [`Credit`] flow control inside
-//!   [`ActiveSet`];
-//! * active-set refill — [`PriorityMux`] (lowest pending warp first);
-//! * warp issue selection — [`RrMux`] (round-robin; the greedy policy
-//!   resets the pointer instead of advancing it);
-//! * issue/commit seam — a [`Skid`] buffer, drained the same cycle
-//!   today, but the registered boundary a future writeback stage would
-//!   backpressure;
-//! * shared SFU/MEM/TEX datapaths — quarter-rate [`Pipe`]s;
-//! * MRF operand collection — [`BankStage`], ideal (reference-equal) or
-//!   bank-arbitrated with per-bank operand-buffer [`Fifo`]s.
-//!
-//! Under [`BankPolicy::Ideal`] every decision reduces to the reference
-//! engine's arithmetic, which is what the differential suite
-//! (`tests/timing_differential.rs`) and the chaos trace layer pin.
+//! The default timing engine ([`super::Engine::Staged`]): one concrete
+//! scheduler loop over plain data. Each cycle it retires completed bank
+//! reads, issues the first ready warp from the round-robin pointer (or
+//! deschedules the first warp blocked on a long-latency result), parks
+//! barrier arrivals until their CTA releases, refills the active set
+//! lowest warp first, and fast-forwards over idle cycles. Under
+//! [`BankPolicy::Ideal`] it computes exactly what [`super::reference`]
+//! does (`tests/timing_differential.rs`); `tests/timing_banks.rs` pins
+//! [`BankPolicy::Arbitrated`].
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
 use rfh_isa::Unit;
 
-use super::stage::{Credit, Fifo, Pipe, PriorityMux, RrMux, Skid, Stage};
 use super::{
     pending_latency, BankPolicy, DeadlockSnapshot, SchedPolicy, TimingConfig, TimingError,
     TimingResult, TraceOp, WarpSnapshot,
@@ -38,21 +25,20 @@ enum Phase {
     Done,
 }
 
-/// Per-warp register scoreboard: result-ready cycles plus the set of
-/// registers whose pending producer is long-latency.
-struct Scoreboard {
+/// One warp's scheduler state and register scoreboard.
+struct Warp {
+    /// Trace position of the next instruction to issue.
+    pc: usize,
+    phase: Phase,
+    /// Cycle each register's pending result is ready.
     reg_ready: Vec<u64>,
-    long_regs: HashSet<u16>,
+    /// Whether each register's pending producer is long-latency.
+    long: Vec<bool>,
+    /// Descheduled at least once (read only by the deadlock snapshot).
+    descheduled: bool,
 }
 
-impl Scoreboard {
-    fn new(max_reg: usize) -> Self {
-        Scoreboard {
-            reg_ready: vec![0; max_reg],
-            long_regs: HashSet::new(),
-        }
-    }
-
+impl Warp {
     /// The cycle all of `op`'s sources are ready (0 when none).
     fn ready_at(&self, op: &TraceOp) -> u64 {
         op.srcs
@@ -69,237 +55,122 @@ impl Scoreboard {
         op.srcs
             .iter()
             .flatten()
-            .any(|r| self.reg_ready[*r as usize] > now && self.long_regs.contains(r))
+            .any(|r| self.reg_ready[*r as usize] > now && self.long[*r as usize])
     }
 
-    /// Records the issue of `op` at `now`: retires satisfied long-reg
-    /// entries and posts destination ready times. `extra` is additional
-    /// result latency from operand collection (0 under the ideal MRF).
+    /// Issues `op` at `now`: clears satisfied long-latency marks and posts
+    /// destination ready times. `extra` is the result delay from bank-read
+    /// serialization (0 under the ideal MRF).
     fn issue(&mut self, op: &TraceOp, now: u64, extra: u64) {
         for r in op.srcs.iter().flatten() {
             if self.reg_ready[*r as usize] <= now {
-                self.long_regs.remove(r);
+                self.long[*r as usize] = false;
             }
         }
         for d in op.dsts.iter().flatten() {
             self.reg_ready[*d as usize] = now + op.latency + extra;
-            if op.long {
-                self.long_regs.insert(*d);
-            } else {
-                self.long_regs.remove(d);
-            }
+            self.long[*d as usize] = op.long;
         }
+        self.pc += 1;
     }
 }
 
-/// The scheduler's upper level: the ordered active set, with occupancy
-/// bounded by credit-based flow control.
-struct ActiveSet {
-    order: Vec<usize>,
-    credit: Credit,
-}
-
-impl ActiveSet {
-    fn new(slots: usize) -> Self {
-        ActiveSet {
-            order: Vec::new(),
-            credit: Credit::new(slots),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    fn at(&self, pos: usize) -> usize {
-        self.order[pos]
-    }
-
-    fn has_credit(&self) -> bool {
-        self.credit.available() > 0
-    }
-
-    /// Admits a warp (appending, as hardware would enqueue), holding one
-    /// credit for it.
-    fn push(&mut self, warp: usize) -> bool {
-        if self.credit.acquire() {
-            self.order.push(warp);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Evicts a warp (retire/deschedule/barrier), releasing its credit.
-    fn remove(&mut self, warp: usize) {
-        let before = self.order.len();
-        self.order.retain(|&w| w != warp);
-        if self.order.len() < before {
-            self.credit.release();
-        }
+/// Slot of a shared quarter-rate datapath (SFU/MEM/TEX) in the free-at
+/// array; the ALU and control issue at full rate and have none.
+fn shared_slot(unit: Unit) -> Option<usize> {
+    match unit {
+        Unit::Sfu => Some(0),
+        Unit::Mem => Some(1),
+        Unit::Tex => Some(2),
+        _ => None,
     }
 }
 
-/// The shared quarter-rate datapaths (SFU/MEM/TEX), each a fixed-latency
-/// pipe whose initiation interval is `shared_issue_cycles`. ALU issues at
-/// full rate and has no pipe.
-struct SharedUnits {
-    sfu: Pipe<()>,
-    mem: Pipe<()>,
-    tex: Pipe<()>,
-}
-
-impl SharedUnits {
-    fn new(interval: u64) -> Self {
-        SharedUnits {
-            sfu: Pipe::new(1, interval),
-            mem: Pipe::new(1, interval),
-            tex: Pipe::new(1, interval),
-        }
-    }
-
-    fn pipe(&self, unit: Unit) -> Option<&Pipe<()>> {
-        match unit {
-            Unit::Sfu => Some(&self.sfu),
-            Unit::Mem => Some(&self.mem),
-            Unit::Tex => Some(&self.tex),
-            _ => None,
-        }
-    }
-
-    fn ready(&self, unit: Unit, now: u64) -> bool {
-        self.pipe(unit).is_none_or(|p| p.ready(now))
-    }
-
-    /// The cycle the unit next accepts an issue (0 for full-rate units).
-    fn free_at(&self, unit: Unit) -> u64 {
-        self.pipe(unit).map_or(0, Pipe::free_at)
-    }
-
-    fn occupy(&mut self, unit: Unit, now: u64) {
-        let pipe = match unit {
-            Unit::Sfu => &mut self.sfu,
-            Unit::Mem => &mut self.mem,
-            Unit::Tex => &mut self.tex,
-            _ => return,
-        };
-        // The pipe applies backpressure via `ready`; the scheduler only
-        // occupies units it saw ready, so a bounce cannot happen.
-        let _ = pipe.offer(now, ());
-    }
-
-    /// Drains completed issues so pipe occupancy stays bounded.
-    fn retire(&mut self, now: u64) {
-        while self.sfu.take(now).is_some() {}
-        while self.mem.take(now).is_some() {}
-        while self.tex.take(now).is_some() {}
-    }
-}
-
-/// The MRF operand-collection stage.
+/// The bank-arbitrated MRF ([`BankPolicy::Arbitrated`]).
 ///
-/// `Ideal` reads every operand the issue cycle at no cost — the
-/// reference model. `Arbitrated` interleaves registers across
-/// single-ported banks (`reg % banks`): each bank grants one read per
-/// cycle in arrival order through a depth-bounded operand-buffer
-/// [`Fifo`], so same-bank operand reads serialize. Issue stalls only
-/// when a needed bank's operand buffer is full; the serialization delay
-/// itself lands on the instruction's result latency (dependents see
-/// their operands later), which keeps issue bandwidth honest without
-/// blocking the scheduler.
-enum BankStage {
-    Ideal,
-    Arbitrated {
-        /// Per-bank in-flight read completions (operand-buffer slots).
-        fifos: Vec<Fifo<u64>>,
-        /// Per-bank completion time of the last granted read.
-        tails: Vec<u64>,
-    },
+/// Registers interleave across single-ported banks (`reg % banks`), and
+/// each bank grants one read per cycle in arrival order. A bank's
+/// operand buffer holds the completion cycles of up to `depth` granted
+/// reads; issue stalls while a bank the instruction reads has too few
+/// free slots. The serialization delay lands on the instruction's result
+/// latency, so dependents see their operands later without the scheduler
+/// blocking. Reads of one op beyond `depth` serialize but are not
+/// buffered (see `docs/TIMING.md`).
+struct Banks {
+    depth: usize,
+    /// Per-bank completion cycles of buffered reads, oldest first.
+    pending: Vec<VecDeque<u64>>,
+    /// Per-bank completion cycle of the last granted read.
+    tails: Vec<u64>,
 }
 
-impl BankStage {
-    fn new(policy: BankPolicy) -> Self {
-        match policy {
-            BankPolicy::Ideal => BankStage::Ideal,
-            BankPolicy::Arbitrated { banks, depth } => BankStage::Arbitrated {
-                fifos: (0..banks).map(|_| Fifo::new(depth)).collect(),
-                tails: vec![0; banks],
-            },
-        }
-    }
-
-    /// Reads `op` requests from bank `b`.
-    fn reads_of(op: &TraceOp, b: usize, banks: usize) -> usize {
-        op.srcs
-            .iter()
-            .flatten()
-            .filter(|r| **r as usize % banks == b)
-            .count()
-    }
-
-    /// Capacity gate: 0 when every needed bank has operand-buffer slots
-    /// for `op`'s reads, else the cycle a slot next frees up.
-    fn gate(&self, op: &TraceOp, _now: u64) -> u64 {
-        match self {
-            BankStage::Ideal => 0,
-            BankStage::Arbitrated { fifos, .. } => {
-                let banks = fifos.len();
-                let mut at = 0u64;
-                for (b, fifo) in fifos.iter().enumerate() {
-                    let need = Self::reads_of(op, b, banks).min(fifo.free() + fifo.len());
-                    if fifo.free() < need {
-                        if let Some(done) = fifo.peek() {
-                            at = at.max(*done);
-                        }
-                    }
-                }
-                at
+impl Banks {
+    /// `op`'s reads per bank as `(bank, reads)`, one per distinct bank.
+    fn reads(&self, op: &TraceOp) -> impl Iterator<Item = (usize, usize)> {
+        let mut out = [(0, 0); 3];
+        for r in op.srcs.iter().flatten() {
+            let bank = *r as usize % self.tails.len();
+            // Entries fill in order, so this finds the bank's entry or
+            // the first unused one.
+            if let Some(e) = out.iter_mut().find(|e| e.1 == 0 || e.0 == bank) {
+                *e = (bank, e.1 + 1);
             }
         }
+        out.into_iter().filter(|&(_, n)| n > 0)
     }
 
-    /// Grants `op`'s reads at `now`: enqueues per-bank completions and
-    /// returns the extra result latency from read serialization (0 when
-    /// every operand came from a distinct uncontended bank).
+    /// The cycle a needed operand-buffer slot next frees up, or 0 when
+    /// every bank `op` reads has room for its reads.
+    fn gate(&self, op: &TraceOp) -> u64 {
+        self.reads(op)
+            .filter(|&(b, n)| self.depth - self.pending[b].len() < n.min(self.depth))
+            .filter_map(|(b, _)| self.pending[b].front().copied())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Grants `op`'s reads at `now` and returns the extra result latency
+    /// of their serialization (0 when every read hit an idle bank).
     fn issue(&mut self, op: &TraceOp, now: u64) -> u64 {
-        match self {
-            BankStage::Ideal => 0,
-            BankStage::Arbitrated { fifos, tails } => {
-                let banks = fifos.len();
-                let mut extra = 0u64;
-                for b in 0..banks {
-                    let reads = Self::reads_of(op, b, banks);
-                    if reads == 0 {
-                        continue;
-                    }
-                    let start = tails[b].max(now);
-                    let done = start + reads as u64;
-                    tails[b] = done;
-                    // One read grant per bank per cycle: the i-th read of
-                    // this bank completes at start + i.
-                    for i in 1..=reads as u64 {
-                        let _ = fifos[b].offer(now, start + i);
-                    }
-                    extra = extra.max(done - (now + 1));
-                }
-                extra
-            }
+        let mut extra = 0;
+        for (b, n) in self.reads(op) {
+            let start = self.tails[b].max(now);
+            let done = start + n as u64;
+            self.tails[b] = done;
+            // One grant per cycle: the i-th read completes at start + i.
+            // Reads beyond the free slots are serialized but not queued.
+            let room = self.depth - self.pending[b].len();
+            self.pending[b].extend((1..=n.min(room) as u64).map(|i| start + i));
+            extra = extra.max(done - (now + 1));
         }
+        extra
     }
 
-    /// Drains reads that completed by `now`.
+    /// Drops reads that completed by `now`.
     fn retire(&mut self, now: u64) {
-        if let BankStage::Arbitrated { fifos, .. } = self {
-            for fifo in fifos {
-                while fifo.peek().is_some_and(|done| *done <= now) {
-                    fifo.take();
-                }
+        for q in &mut self.pending {
+            while q.front().is_some_and(|&done| done <= now) {
+                q.pop_front();
             }
         }
     }
 }
 
-/// Replays captured traces through the stage-composed scheduler.
+/// Admits pending warps whose resume cycle has come, lowest warp first,
+/// until the active set holds `slots` warps.
+fn refill(warps: &mut [Warp], active: &mut Vec<usize>, slots: usize, now: u64) {
+    for (wi, w) in warps.iter_mut().enumerate() {
+        if active.len() == slots {
+            break;
+        }
+        if matches!(w.phase, Phase::Pending { resume } if resume <= now) {
+            w.phase = Phase::Active;
+            active.push(wi);
+        }
+    }
+}
+
+/// Replays captured traces through the scheduler.
 ///
 /// Semantics are documented on [`super::simulate_timing`]; this engine is
 /// the default ([`super::Engine::Staged`]).
@@ -317,184 +188,155 @@ pub(super) fn run(
         .max()
         .unwrap_or(0) as usize
         + 1;
-    let mut sb: Vec<Scoreboard> = (0..n).map(|_| Scoreboard::new(max_reg)).collect();
-    let mut pc = vec![0usize; n];
-    // An empty trace has nothing to retire; it starts Done so the issue
-    // stage never indexes an empty slice.
-    let mut phase: Vec<Phase> = (0..n)
-        .map(|wi| {
-            if traces[wi].is_empty() {
+    let cta: Vec<usize> = (0..n).map(cta_of).collect();
+    // An empty trace starts Done, so the issue scan never indexes it.
+    let mut warps: Vec<Warp> = traces
+        .iter()
+        .map(|trace| Warp {
+            pc: 0,
+            phase: if trace.is_empty() {
                 Phase::Done
             } else {
                 Phase::Pending { resume: 0 }
-            }
+            },
+            reg_ready: vec![0; max_reg],
+            long: vec![false; max_reg],
+            descheduled: false,
         })
         .collect();
-    let mut ever_descheduled = vec![false; n];
+    let mut unretired = traces.iter().filter(|t| !t.is_empty()).count();
 
     let slots = if config.two_level {
         config.active_warps.min(n)
     } else {
         n
     };
-    let n_ctas = (0..n).map(cta_of).max().map(|c| c + 1).unwrap_or(0);
-    let mut barrier_arrived = vec![0usize; n_ctas];
-
-    let mut active = ActiveSet::new(slots);
-    let refill_mux = PriorityMux;
-    let refill = |phase: &mut [Phase], active: &mut ActiveSet, now: u64| {
-        while active.has_credit() {
-            let candidate = refill_mux.grant(
-                phase.len(),
-                |i| matches!(phase[i], Phase::Pending { resume } if resume <= now),
-            );
-            match candidate {
-                Some(i) if active.push(i) => phase[i] = Phase::Active,
-                _ => break,
-            }
-        }
+    let mut barrier_arrived = vec![0usize; cta.iter().max().map_or(0, |c| c + 1)];
+    let mut banks = match config.bank_policy {
+        BankPolicy::Ideal => None,
+        BankPolicy::Arbitrated { banks, depth } => Some(Banks {
+            depth,
+            pending: vec![VecDeque::with_capacity(depth); banks],
+            tails: vec![0; banks],
+        }),
     };
+    // Free-at cycle of each shared datapath, indexed by `shared_slot`.
+    let mut unit_free = [0u64; 3];
 
-    let mut units = SharedUnits::new(config.machine.shared_issue_cycles);
-    let mut banks = BankStage::new(config.bank_policy);
-    let mut issue_arb = RrMux::new();
-    let mut issue_buf: Skid<(usize, TraceOp)> = Skid::new();
+    let mut active: Vec<usize> = Vec::with_capacity(slots);
+    let mut rr: usize = 0;
+    let (mut now, mut deschedules) = (0u64, 0u64);
 
-    let mut now: u64 = 0;
-    let mut instructions: u64 = 0;
-    let mut deschedules: u64 = 0;
+    refill(&mut warps, &mut active, slots, now);
 
-    refill(&mut phase, &mut active, now);
-
-    loop {
-        if phase.iter().all(|p| *p == Phase::Done) {
-            break;
-        }
+    while unretired > 0 {
         if now > config.max_cycles {
             return Err(TimingError::CycleBudget {
                 limit: config.max_cycles,
             });
         }
-        units.retire(now);
-        banks.retire(now);
+        banks.iter_mut().for_each(|b| b.retire(now));
 
-        let mut release_cta: Option<usize> = None;
-        let mut desched: Option<(usize, u64)> = None;
-        let mut granted: Option<usize> = None;
-
-        // Issue stage: scan active positions from the round-robin
-        // pointer; first schedulable warp wins the (single) issue port.
+        // Issue scan: the first schedulable warp from the round-robin
+        // pointer wins the single issue port.
         let len = active.len();
+        let mut issue: Option<(usize, usize)> = None;
+        let mut desched: Option<(usize, u64)> = None;
         for k in 0..len {
-            let p = issue_arb.position(k, len);
-            let wi = active.at(p);
-            debug_assert_eq!(phase[wi], Phase::Active);
-            let op = &traces[wi][pc[wi]];
-
-            // Operand readiness: scoreboard plus the bank capacity gate.
-            let score_ready = sb[wi].ready_at(op);
-            if score_ready.max(banks.gate(op, now)) > now {
-                if config.two_level && sb[wi].blocked_on_long(op, now) {
-                    desched = Some((wi, score_ready));
+            let wi = active[(rr + k) % len];
+            let w = &warps[wi];
+            debug_assert_eq!(w.phase, Phase::Active);
+            let op = &traces[wi][w.pc];
+            let ready = w.ready_at(op);
+            let gate = banks.as_ref().map_or(0, |b| b.gate(op));
+            if ready.max(gate) > now {
+                if config.two_level && w.blocked_on_long(op, now) {
+                    desched = Some((wi, ready));
                     break;
                 }
                 continue; // short stall: wait in place
             }
-            if !units.ready(op.unit, now) {
+            if shared_slot(op.unit).is_some_and(|s| unit_free[s] > now) {
                 continue;
             }
-            if issue_buf.offer(now, (wi, *op)).is_none() {
-                granted = Some(k);
-            }
+            issue = Some((k, wi));
             break;
         }
 
-        // Commit stage: drain the issue skid. (Today the downstream is
-        // always ready, so the skid empties the cycle it fills; a future
-        // writeback stage would backpressure here.)
-        let mut issued = false;
-        if let Some(k) = granted {
-            if let Some((wi, op)) = issue_buf.take() {
-                let extra = banks.issue(&op, now);
-                sb[wi].issue(&op, now, extra);
-                units.occupy(op.unit, now);
-                pc[wi] += 1;
-                instructions += 1;
-                issued = true;
-                match config.policy {
-                    SchedPolicy::RoundRobin => issue_arb.advance_past(k, len),
-                    SchedPolicy::Greedy => issue_arb.reset(),
-                }
+        let mut release_cta: Option<usize> = None;
+        if let Some((k, wi)) = issue {
+            let op = traces[wi][warps[wi].pc];
+            let extra = banks.as_mut().map_or(0, |b| b.issue(&op, now));
+            warps[wi].issue(&op, now, extra);
+            if let Some(s) = shared_slot(op.unit) {
+                unit_free[s] = now + config.machine.shared_issue_cycles;
+            }
+            rr = match config.policy {
+                SchedPolicy::RoundRobin => (rr + k + 1) % len,
+                SchedPolicy::Greedy => 0,
+            };
 
-                if pc[wi] == traces[wi].len() {
-                    phase[wi] = Phase::Done;
-                    active.remove(wi);
-                } else if op.barrier {
-                    let cta = cta_of(wi);
-                    phase[wi] = Phase::AtBarrier;
-                    active.remove(wi);
-                    barrier_arrived[cta] += 1;
-                    let expected = (0..n)
-                        .filter(|&x| cta_of(x) == cta && phase[x] != Phase::Done)
-                        .count();
-                    if barrier_arrived[cta] >= expected {
-                        release_cta = Some(cta);
-                    }
+            if warps[wi].pc == traces[wi].len() {
+                warps[wi].phase = Phase::Done;
+                unretired -= 1;
+                active.retain(|&a| a != wi);
+            } else if op.barrier {
+                let c = cta[wi];
+                warps[wi].phase = Phase::AtBarrier;
+                active.retain(|&a| a != wi);
+                barrier_arrived[c] += 1;
+                let expected = (0..n)
+                    .filter(|&x| cta[x] == c && warps[x].phase != Phase::Done)
+                    .count();
+                if barrier_arrived[c] >= expected {
+                    release_cta = Some(c);
                 }
             }
         }
-
         if let Some((wi, resume)) = desched {
             deschedules += 1;
-            ever_descheduled[wi] = true;
-            phase[wi] = Phase::Pending { resume };
-            active.remove(wi);
+            warps[wi].descheduled = true;
+            warps[wi].phase = Phase::Pending { resume };
+            active.retain(|&a| a != wi);
         }
-        if let Some(cta) = release_cta {
-            barrier_arrived[cta] = 0;
-            for (x, p) in phase.iter_mut().enumerate() {
-                if cta_of(x) == cta && *p == Phase::AtBarrier {
-                    *p = Phase::Pending { resume: now };
+        if let Some(c) = release_cta {
+            barrier_arrived[c] = 0;
+            for (x, w) in warps.iter_mut().enumerate() {
+                if cta[x] == c && w.phase == Phase::AtBarrier {
+                    w.phase = Phase::Pending { resume: now };
                 }
             }
         }
-        refill(&mut phase, &mut active, now);
+        refill(&mut warps, &mut active, slots, now);
 
-        if issued || desched.is_some() || release_cta.is_some() {
+        if issue.is_some() || desched.is_some() || release_cta.is_some() {
             now += 1;
             continue;
         }
         // Nothing happened: fast-forward to the next event.
-        let mut next_event = u64::MAX;
-        for p in 0..active.len() {
-            let wi = active.at(p);
-            let op = &traces[wi][pc[wi]];
-            let ready = sb[wi].ready_at(op).max(banks.gate(op, now));
-            let unit = units.free_at(op.unit);
-            next_event = next_event.min(ready.max(unit).max(now + 1));
-        }
-        for p in phase.iter() {
-            if let Phase::Pending { resume } = *p {
-                next_event = next_event.min(resume.max(now + 1));
-            }
-        }
-        if next_event == u64::MAX {
+        let active_events = active.iter().map(|&wi| {
+            let (w, op) = (&warps[wi], &traces[wi][warps[wi].pc]);
+            let gate = banks.as_ref().map_or(0, |b| b.gate(op));
+            let unit = shared_slot(op.unit).map_or(0, |s| unit_free[s]);
+            w.ready_at(op).max(gate).max(unit)
+        });
+        let resumes = warps.iter().filter_map(|w| match w.phase {
+            Phase::Pending { resume } => Some(resume),
+            _ => None,
+        });
+        let Some(next_event) = active_events.chain(resumes).map(|t| t.max(now + 1)).min() else {
             let snapshot = DeadlockSnapshot {
-                warps: (0..n)
-                    .filter(|&wi| phase[wi] != Phase::Done)
-                    .map(|wi| WarpSnapshot {
+                warps: warps
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, w)| w.phase != Phase::Done)
+                    .map(|(wi, w)| WarpSnapshot {
                         warp: wi,
-                        cta: cta_of(wi),
-                        pc: pc[wi],
-                        at_barrier: phase[wi] == Phase::AtBarrier,
-                        descheduled: ever_descheduled[wi],
-                        pending_latency: pending_latency(
-                            traces,
-                            wi,
-                            pc[wi],
-                            &sb[wi].reg_ready,
-                            now,
-                        ),
+                        cta: cta[wi],
+                        pc: w.pc,
+                        at_barrier: w.phase == Phase::AtBarrier,
+                        descheduled: w.descheduled,
+                        pending_latency: pending_latency(traces, wi, w.pc, &w.reg_ready, now),
                     })
                     .collect(),
             };
@@ -502,14 +344,15 @@ pub(super) fn run(
                 cycle: now,
                 snapshot,
             });
-        }
+        };
         now = next_event;
-        refill(&mut phase, &mut active, now);
+        refill(&mut warps, &mut active, slots, now);
     }
 
+    // Every warp retired, so every op of every trace issued.
     Ok(TimingResult {
         cycles: now,
-        instructions,
+        instructions: traces.iter().map(|t| t.len() as u64).sum(),
         deschedules,
     })
 }

@@ -84,16 +84,6 @@ done
 cmp "$artifacts/timing_reference.txt" "$artifacts/timing_staged.txt"
 echo "multi-SM runs byte-identical across job counts and engines"
 
-echo "==> timing-bench smoke (timing-model throughput, one rep)"
-# One timed repetition of the staged-vs-reference throughput and the SM
-# scaling curve; exports the rfh-timing-bench-v1 JSON. Perf numbers are
-# not gated (CI machines vary); the committed history is BENCH_timing.json.
-RFH_TIMING_BENCH_REPS=1 ./target/release/repro \
-    --timing-bench-json "$artifacts/BENCH_timing.json" timing-bench \
-    > "$artifacts/timing_bench.txt"
-grep -q '"schema": "rfh-timing-bench-v1"' "$artifacts/BENCH_timing.json"
-echo "timing-bench result: $artifacts/BENCH_timing.json"
-
 echo "==> lint smoke + golden diagnostics report"
 # The analyzer must accept the repo's own kernels: `rfhc lint` on a known
 # workload exits 0, and the full report over the corpus + all workloads

@@ -34,9 +34,11 @@
 //! the cycle-level two-level-scheduler model (`rfh::sim::timing`) across
 //! `--sms N` SM contexts sharing a contended memory model, and prints the
 //! per-SM and chip-level results. Its own `--engine staged|reference`
-//! flag picks between the stage-combinator engine (the default) and the
-//! frozen reference oracle; both produce identical results, and the
-//! output is byte-identical at any `--jobs` count.
+//! flag picks between the default engine and the frozen reference
+//! oracle; both produce identical results, and the output is
+//! byte-identical at any `--jobs` count. `--ctas`/`--threads` set the
+//! launch of a kernel file only: a `--workload` brings its own launch,
+//! so combining them is a usage error.
 //!
 //! The `serve` subcommand runs the compile-service daemon (`rfh-rfhd`) in
 //! the foreground; `client` drives it — one request, or the
@@ -67,8 +69,8 @@ const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-part
              <kernel.rfasm | ->\n\
        rfhc timing [--sms N] [--engine staged|reference] [--active N | --single-level] \
      [--greedy]\n\
-             [--uncontended] [--ctas N] [--threads N] [--jobs N] \
-     (--workload NAME | <kernel.rfasm | ->)\n\
+             [--uncontended] [--jobs N] \
+     (--workload NAME | [--ctas N] [--threads N] <kernel.rfasm | ->)\n\
        rfhc serve (--tcp HOST:PORT | --unix PATH) [--workers N]\n\
        rfhc client (--tcp HOST:PORT | --unix PATH) [--op OP] [--workload NAME] \
      [--timeout-ms N]\n\
@@ -429,8 +431,8 @@ fn timing_main(
     let mut single_level = false;
     let mut greedy = false;
     let mut uncontended = false;
-    let mut ctas: usize = 1;
-    let mut threads: usize = 64;
+    let mut ctas: Option<usize> = None;
+    let mut threads: Option<usize> = None;
     let mut workload: Option<String> = None;
     let mut input: Option<String> = None;
 
@@ -460,18 +462,20 @@ fn timing_main(
             "--greedy" => greedy = true,
             "--uncontended" => uncontended = true,
             "--ctas" => {
-                ctas = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--ctas needs a positive integer"))?;
+                ctas = Some(
+                    args.next()
+                        .and_then(|n| n.parse().ok())
+                        .filter(|&n: &usize| n >= 1)
+                        .ok_or_else(|| usage("--ctas needs a positive integer"))?,
+                );
             }
             "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--threads needs a positive integer"))?;
+                threads = Some(
+                    args.next()
+                        .and_then(|n| n.parse().ok())
+                        .filter(|&n: &usize| n >= 1)
+                        .ok_or_else(|| usage("--threads needs a positive integer"))?,
+                );
             }
             "--workload" => {
                 workload = Some(
@@ -494,6 +498,11 @@ fn timing_main(
         (Some(_), Some(_)) => {
             return Err(usage("--workload and a kernel file are mutually exclusive"))
         }
+        (Some(_), None) if ctas.is_some() || threads.is_some() => {
+            return Err(usage(
+                "--ctas/--threads do not apply to --workload (it brings its own launch)",
+            ))
+        }
         (Some(name), None) => {
             let w = rfh::workloads::by_name(name).ok_or_else(|| {
                 usage(&format!(
@@ -509,7 +518,7 @@ fn timing_main(
             (
                 path.clone(),
                 kernel,
-                rfh::sim::Launch::new(ctas, threads),
+                rfh::sim::Launch::new(ctas.unwrap_or(1), threads.unwrap_or(64)),
                 rfh::sim::GlobalMemory::new(1 << 16),
             )
         }

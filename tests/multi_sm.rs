@@ -155,4 +155,10 @@ fn timing_usage_errors_exit_with_the_usage_code() {
         "1",
     );
     assert_eq!(out.status.code(), Some(2));
+    // A paper workload brings its own launch: --ctas/--threads would be
+    // silently ignored, so the combination is rejected.
+    for flag in ["--ctas", "--threads"] {
+        let out = rfhc_with_jobs(&["timing", "--workload", "vectoradd", flag, "4"], "1");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+    }
 }
