@@ -1,8 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--csv <dir>] [--bench-json <path>] [--exec-bench-json <path>]
-//!       [--jobs N] [experiment...]
+//! repro [--csv <dir>] [--jobs N] [experiment...]
 //!
 //! experiments:
 //!   table1 table2 table3 table4   the paper's input tables
@@ -17,9 +16,8 @@
 //!   limit                         §7 limit study
 //!   ablation                      design-choice ablations
 //!   characterize                  workload characterization table
-//!   exec-bench                    executor throughput, SoA vs reference
 //!   hints                         last-use allocation hints, off vs on
-//!   all                           everything except the benches and hints (default)
+//!   all                           everything except hints (default)
 //! ```
 //!
 //! All experiments share one [`ExperimentCtx`], so baselines, allocated
@@ -28,30 +26,23 @@
 //! same sweep printed by `fig13`. Cells fan out over the `RFH_JOBS` pool;
 //! output (including every CSV) is byte-identical at any job count.
 //!
-//! `--bench-json <path>` writes per-experiment wall times as JSON
-//! (schema `rfh-repro-bench-v1`).
-//!
 //! `hints` is excluded from `all` because it measures the non-default
 //! `--hints` allocation path, and `repro all` must keep regenerating the
 //! committed default-path goldens byte-for-byte.
 //!
-//! `exec-bench` is the other experiment excluded from `all`: it reports
-//! wall-clock executor throughput (SoA engine vs the frozen reference
-//! oracle), which is machine-dependent, and `repro all` output must stay
-//! byte-identical across runs for the determinism tests.
-//! `--exec-bench-json <path>` additionally writes its result as JSON
-//! (schema `rfh-exec-bench-v1`); `RFH_EXEC_BENCH_REPS` overrides the
-//! timed repetition count (default 5).
+//! Each experiment's wall time goes to stderr. For per-layer timings of
+//! the same path, run the repository benchmark:
+//! `rfhbench --workload figures --trace 1`.
 
 use std::time::Instant;
 
 use rfh_experiments::{
-    ablation, characterize, encoding, exec_bench, fig11, fig12, fig13, fig14, fig15, fig2, hints,
-    limit, perf, tables, ExperimentCtx,
+    ablation, characterize, encoding, fig11, fig12, fig13, fig14, fig15, fig2, hints, limit, perf,
+    tables, ExperimentCtx,
 };
 
 /// Reports an I/O failure on a user-supplied path and exits with the
-/// toolchain's I/O code (1) — bad `--csv`/`--bench-json` destinations are
+/// toolchain's I/O code (1) — bad `--csv` destinations are
 /// operator input, not toolchain bugs, so they must not panic.
 fn io_fail(what: &str, path: &str, e: std::io::Error) -> ! {
     eprintln!("repro: cannot {what} {path}: {e}");
@@ -74,10 +65,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--csv <dir>` additionally writes each experiment's data as CSV.
     let csv_dir = take_flag(&mut args, "--csv");
-    // `--bench-json <path>` records per-experiment wall times.
-    let bench_json = take_flag(&mut args, "--bench-json");
-    // `--exec-bench-json <path>` records the exec-bench result as JSON.
-    let exec_bench_json = take_flag(&mut args, "--exec-bench-json");
     // `--jobs N` overrides the `RFH_JOBS` pool knob; it shares the knob
     // parser, so a malformed value warns loudly and falls back instead of
     // silently diverging from the env-var behavior.
@@ -130,8 +117,6 @@ fn main() {
     let mut fig13_sweep = |ctx: &ExperimentCtx| -> fig13::Fig13 {
         fig13_cached.get_or_insert_with(|| fig13::run(ctx)).clone()
     };
-    let mut timings: Vec<(String, f64)> = Vec::new();
-    let overall = Instant::now();
     for exp in wanted {
         let start = Instant::now();
         let output = match exp {
@@ -201,19 +186,6 @@ fn main() {
                 characterize::print(&r)
             }
             "hints" => hints::print(&hints::run(&workloads)),
-            "exec-bench" => {
-                let reps = rfh_testkit::env::usize_knob("RFH_EXEC_BENCH_REPS")
-                    .unwrap_or(5)
-                    .max(1);
-                let b = exec_bench::run(&workloads, reps);
-                if let Some(path) = &exec_bench_json {
-                    if let Err(e) = std::fs::write(path, exec_bench::json(&b)) {
-                        io_fail("write", path, e);
-                    }
-                    eprintln!("[wrote {path}]");
-                }
-                exec_bench::print(&b)
-            }
             other => {
                 eprintln!("unknown experiment `{other}` (try: repro all)");
                 std::process::exit(2);
@@ -222,23 +194,5 @@ fn main() {
         println!("{output}");
         let secs = start.elapsed().as_secs_f64();
         eprintln!("[{exp} took {secs:.1}s]\n");
-        timings.push((exp.to_string(), secs));
-    }
-    if let Some(path) = &bench_json {
-        let total = overall.elapsed().as_secs_f64();
-        let experiments: Vec<String> = timings
-            .iter()
-            .map(|(name, secs)| format!("    {{\"name\": \"{name}\", \"seconds\": {secs:.3}}}"))
-            .collect();
-        let json = format!(
-            "{{\n  \"schema\": \"rfh-repro-bench-v1\",\n  \"jobs\": {},\n  \
-             \"total_seconds\": {total:.3},\n  \"experiments\": [\n{}\n  ]\n}}\n",
-            rfh_testkit::pool::jobs(),
-            experiments.join(",\n")
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            io_fail("write", path, e);
-        }
-        eprintln!("[wrote {path}]");
     }
 }

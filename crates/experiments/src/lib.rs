@@ -4,7 +4,7 @@
 //!
 //! One module per experiment of the paper's evaluation (§6) and limit
 //! study (§7). Each module exposes a `run(...)` function returning plain
-//! data (so tests and benches can assert on it) plus a `print` helper used
+//! data (so tests and the benchmark can assert on it) plus a `print` helper used
 //! by the `repro` binary:
 //!
 //! | module | reproduces |
@@ -21,7 +21,6 @@
 //! | [`limit`] | §7: ideal bounds, variable ORF, backward branches, scheduling |
 //! | [`ablation`] | design-choice ablations (optimizations, LRF shape, priority, RFC policy) |
 //! | [`characterize`] | workload characterization (instruction mix, divergence, strands) |
-//! | [`exec_bench`] | executor throughput: SoA engine vs reference oracle (not in `repro all`) |
 //! | [`hints`] | last-use allocation hints: accesses/energy, `--hints` off vs on (not in `repro all`) |
 //!
 //! All experiments execute every workload to completion (the paper's
@@ -41,7 +40,6 @@ pub mod characterize;
 pub mod csv;
 pub mod ctx;
 pub mod encoding;
-pub mod exec_bench;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;

@@ -54,7 +54,7 @@ mod undef;
 mod value;
 
 pub use diag::{has_errors, Code, Diagnostic, Severity};
-pub use render::{human_line, json_line};
+pub use render::human_line;
 
 use rfh_alloc::AllocConfig;
 

@@ -1,5 +1,6 @@
-//! Rendering diagnostics: human-readable lines and machine-readable JSON
-//! lines, both deterministic (diagnostics are sorted before rendering).
+//! Rendering diagnostics as human-readable lines, deterministic because
+//! diagnostics are sorted before rendering. (`rfhc lint --json` renders
+//! the machine-readable form through the workspace's JSON writer.)
 
 use std::fmt::Write as _;
 
@@ -22,44 +23,6 @@ pub fn human_line(kernel_name: &str, d: &Diagnostic) -> String {
     }
     let _ = write!(s, ": {}", d.message);
     s
-}
-
-/// Renders one diagnostic as a JSON object on a single line, with the
-/// stable field order `kernel, code, severity, block, instr, message`.
-pub fn json_line(kernel_name: &str, d: &Diagnostic) -> String {
-    let mut s = String::from("{");
-    let _ = write!(s, "\"kernel\":\"{}\"", escape(kernel_name));
-    let _ = write!(s, ",\"code\":\"{}\"", d.code.as_str());
-    let _ = write!(s, ",\"severity\":\"{}\"", d.severity().as_str());
-    let _ = write!(s, ",\"block\":{}", d.block.index());
-    match d.instr {
-        Some(i) => {
-            let _ = write!(s, ",\"instr\":{i}");
-        }
-        None => s.push_str(",\"instr\":null"),
-    }
-    let _ = write!(s, ",\"message\":\"{}\"", escape(&d.message));
-    s.push('}');
-    s
-}
-
-/// JSON string escaping (control characters, quotes, backslashes).
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -89,25 +52,8 @@ mod tests {
     }
 
     #[test]
-    fn json_line_format() {
-        let line = json_line("k", &sample());
-        assert_eq!(
-            line,
-            "{\"kernel\":\"k\",\"code\":\"RFH-L001\",\"severity\":\"error\",\"block\":1,\
-             \"instr\":2,\"message\":\"r3 may be read before it is defined\"}"
-        );
-    }
-
-    #[test]
-    fn json_escapes_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn block_level_diagnostic_has_null_instr() {
+    fn block_level_diagnostic_has_no_instr_suffix() {
         let d = Diagnostic::at_block(Code::UnreachableBlock, BlockId::new(4), "dead".to_string());
-        assert!(json_line("k", &d).contains("\"instr\":null"));
         assert_eq!(human_line("k", &d), "warning[RFH-L002] k: BB4: dead");
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! The crate is organized as concentric fault domains:
 //!
-//! * [`json`] — a hand-rolled, depth-limited JSON parser and writer (the
-//!   workspace is hermetic: no serde). Insertion-ordered objects make
-//!   rendering deterministic, which the cache keys rely on.
+//! * [`json`] — the workspace's hand-rolled, depth-limited JSON parser
+//!   and writer, re-exported from `rfh_testkit::json` (the workspace is
+//!   hermetic: no serde). Insertion-ordered objects make rendering
+//!   deterministic, which the cache keys rely on.
 //! * [`proto`] — framing, the request/response schema, and the
 //!   [`ErrorKind`](proto::ErrorKind) taxonomy whose classes carry the
 //!   same stable codes `rfhc` uses as exit codes.
@@ -33,7 +34,6 @@
 pub mod cache;
 pub mod client;
 pub mod handler;
-pub mod json;
 pub mod proto;
 pub mod server;
 
@@ -45,4 +45,5 @@ pub use client::{
 pub use handler::{decode_request, handle, handle_with, Budgets, Op, Request, StrandStore};
 pub use json::Json;
 pub use proto::{ErrorFrame, ErrorKind, SCHEMA};
+pub use rfh_testkit::json;
 pub use server::{Endpoint, Server, ServerConfig, ServerHandle, ServerReport};

@@ -14,12 +14,14 @@
 //!   `chrome://tracing` / Perfetto-loadable timeline with one track per
 //!   warp, where each instruction occupies one timeline unit.
 //!
-//! Both serializers are hand-rolled (the workspace has no serde) and
-//! deterministic: records are kept in global issue order, which the
-//! barrier-phased executor makes independent of any parallelism knob.
+//! Both serializers are hand-rolled (the workspace has no serde; strings
+//! go through the shared `rfh_testkit::json` writer) and deterministic:
+//! records are kept in global issue order, which the barrier-phased
+//! executor makes independent of any parallelism knob.
 
 use rfh_isa::access::RegAccess;
 use rfh_isa::{InstrRef, Kernel};
+use rfh_testkit::json::write_str;
 
 use crate::sink::{InstrEvent, TraceSink};
 
@@ -71,15 +73,13 @@ impl TraceExporter {
         let mut out = String::new();
         for r in &self.records {
             out.push_str(&format!(
-                "{{\"seq\":{},\"warp\":{},\"at\":\"{}\",\"strand\":{},\"op\":\"{}\",\
-                 \"active\":{},\"exec\":{},\"accesses\":[",
-                r.seq,
-                r.warp,
-                r.at,
-                r.strand,
-                escape(&r.op),
-                r.active_mask,
-                r.exec_mask,
+                "{{\"seq\":{},\"warp\":{},\"at\":\"{}\",\"strand\":{},\"op\":",
+                r.seq, r.warp, r.at, r.strand,
+            ));
+            write_str(&r.op, &mut out);
+            out.push_str(&format!(
+                ",\"active\":{},\"exec\":{},\"accesses\":[",
+                r.active_mask, r.exec_mask,
             ));
             for (i, a) in r.accesses.iter().enumerate() {
                 if i > 0 {
@@ -116,11 +116,12 @@ impl TraceExporter {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"name\":");
+            write_str(&r.op, &mut out);
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"strand{}\",\"ph\":\"X\",\"ts\":{ts},\
+                ",\"cat\":\"strand{}\",\"ph\":\"X\",\"ts\":{ts},\
                  \"dur\":1,\"pid\":0,\"tid\":{},\"args\":{{\"at\":\"{}\",\"seq\":{},\
                  \"accesses\":{}}}}}",
-                escape(&r.op),
                 r.strand,
                 r.warp,
                 r.at,
@@ -159,23 +160,6 @@ impl TraceSink for TraceExporter {
             accesses: event.plan.accesses().to_vec(),
         });
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -258,13 +242,6 @@ BB0:
         let b = run(KERNEL, Some(AllocConfig::two_level(3)));
         assert_eq!(a.json_lines(), b.json_lines());
         assert_eq!(a.chrome_trace(), b.chrome_trace());
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\n\t"), "x\\n\\t");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

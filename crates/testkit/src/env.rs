@@ -1,7 +1,7 @@
 //! Environment-variable knob parsing, in one place.
 //!
 //! Every runtime knob of the test/experiment infrastructure (`RFH_JOBS`,
-//! `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`, `RFH_BENCH_*`) is read through
+//! `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`) is read through
 //! these helpers. The contract, uniform across all knobs:
 //!
 //! * an **unset** variable falls back to the caller's default silently;
@@ -12,11 +12,6 @@
 //! * integer knobs accept decimal and `0x`-prefixed hexadecimal, so the
 //!   seeds printed in failure reports (`seed 0x…`) can be pasted back
 //!   into `RFH_TESTKIT_SEED` verbatim.
-
-/// Reads a string-valued knob. Never warns: any present value is valid.
-pub fn string(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
 
 /// Parses a raw integer string under the knob grammar (decimal or
 /// `0x`-prefixed hex, `_` separators allowed), warning loudly on a
@@ -56,7 +51,7 @@ pub fn parse_usize(what: &str, raw: &str) -> Option<usize> {
     })
 }
 
-/// [`parse_usize`] that additionally rejects zero (worker counts, sample
+/// [`parse_usize`] that additionally rejects zero (worker counts, case
 /// counts), warning and falling back like any other bad value.
 pub fn parse_positive_usize(what: &str, raw: &str) -> Option<usize> {
     match parse_usize(what, raw) {
@@ -85,7 +80,7 @@ pub fn usize_knob(name: &str) -> Option<usize> {
     parse_usize(name, &raw)
 }
 
-/// Reads a `usize` knob that must be at least 1 (worker counts, sample
+/// Reads a `usize` knob that must be at least 1 (worker counts, case
 /// counts). Zero is malformed: it warns and falls back like any other bad
 /// value.
 pub fn positive_usize_knob(name: &str) -> Option<usize> {
@@ -103,7 +98,6 @@ mod tests {
     #[test]
     fn unset_is_none() {
         assert_eq!(u64_knob("RFH_TEST_ENV_UNSET"), None);
-        assert_eq!(string("RFH_TEST_ENV_UNSET"), None);
     }
 
     #[test]
@@ -131,12 +125,6 @@ mod tests {
         std::env::set_var("RFH_TEST_ENV_ZERO", "0");
         assert_eq!(usize_knob("RFH_TEST_ENV_ZERO"), Some(0));
         assert_eq!(positive_usize_knob("RFH_TEST_ENV_ZERO"), None);
-    }
-
-    #[test]
-    fn string_passes_through() {
-        std::env::set_var("RFH_TEST_ENV_STR", "/tmp/out.json");
-        assert_eq!(string("RFH_TEST_ENV_STR"), Some("/tmp/out.json".into()));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! A minimal, dependency-free JSON value: parser and writer.
 //!
-//! The daemon protocol carries small JSON documents inside length-prefixed
-//! frames, and the workspace is hermetic (no serde), so this module
-//! provides exactly what the wire needs:
+//! The workspace is hermetic (no serde), and this is its one JSON
+//! implementation: the rfhd daemon protocol carries small documents of it
+//! inside length-prefixed frames, and the structured trace export and
+//! `rfhc lint --json` render their strings through [`write_str`]. It
+//! provides exactly what those need:
 //!
 //! * a recursive-descent parser with a **depth limit** and structured
 //!   errors (byte offset + message) — it is fed attacker-controlled bytes
@@ -175,7 +177,10 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string: `"`, `\` and control
+/// characters are escaped, everything else (non-ASCII included) is
+/// written verbatim.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -470,6 +475,11 @@ mod tests {
         assert_eq!(v.as_str(), Some("a\n\t\"b\\cA\u{e9}"));
         // Control characters render as \u escapes.
         assert_eq!(Json::str("\u{1}").render(), "\"\\u0001\"");
+        // The short escapes, and non-ASCII text passed through verbatim.
+        let text = "q\"b\\n\nr\rt\t\u{e9}\u{1F600}";
+        let rendered = Json::str(text).render();
+        assert_eq!(rendered, "\"q\\\"b\\\\n\\nr\\rt\\t\u{e9}\u{1F600}\"");
+        assert_eq!(parse(&rendered).expect("parses").as_str(), Some(text));
     }
 
     #[test]

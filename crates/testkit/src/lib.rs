@@ -15,15 +15,15 @@
 //!   [`prop_oneof!`](crate::prop_oneof), [`strategy::collection::vec`],
 //!   [`strategy::option::of`]) with greedy input shrinking and
 //!   fixed-seed reproduction via `RFH_TESTKIT_SEED`;
-//! * [`bench`] — a wall-clock micro-benchmark harness mirroring the
-//!   `criterion` API the benches use, with JSON output for baseline
-//!   tracking;
+//! * [`json`] — the workspace's one JSON value, parser and writer (the
+//!   rfhd wire format, the structured trace and the lint JSON lines all
+//!   go through it);
 //! * [`pool`] — a scoped thread pool ([`pool::par_map`]) used by the
 //!   experiment engine and the chaos harness to fan sweeps out across
 //!   cores (`RFH_JOBS` knob) while keeping results in input order, so
 //!   parallel runs stay byte-identical to serial ones;
 //! * [`env`] — the single home for environment-variable knob parsing
-//!   (`RFH_JOBS`, `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`, `RFH_BENCH_*`):
+//!   (`RFH_JOBS`, `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`):
 //!   malformed values warn loudly with the offending string instead of
 //!   silently falling back or panicking;
 //! * [`corpus`] — the kernel-text corpus shared by the parser fuzz tests
@@ -31,9 +31,9 @@
 //!
 //! See `docs/TESTING.md` at the repository root for the workflow guide.
 
-pub mod bench;
 pub mod corpus;
 pub mod env;
+pub mod json;
 pub mod pool;
 pub mod prop;
 pub mod rng;

@@ -42,7 +42,9 @@
 //!
 //! The `serve` subcommand runs the compile-service daemon (`rfh-rfhd`) in
 //! the foreground; `client` drives it — one request, or the
-//! `--replay-workloads` load generator with `--bench-json` output.
+//! `--replay-workloads` / `--edit-replay` load generators, which exit
+//! non-zero when any workload fails. Timing the daemon is the job of the
+//! repository benchmark (`rfhbench --workload daemon --trace 1`).
 //!
 //! Exit codes are stable per error class (see `docs/ROBUSTNESS.md`):
 //! 0 success, 1 I/O, 2 usage, 3 parse error, 4 invalid kernel, 5 bad
@@ -74,8 +76,7 @@ const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-part
        rfhc serve (--tcp HOST:PORT | --unix PATH) [--workers N]\n\
        rfhc client (--tcp HOST:PORT | --unix PATH) [--op OP] [--workload NAME] \
      [--timeout-ms N]\n\
-             [--replay-workloads [--jobs N] [--rounds N] [--bench-json PATH]] \
-     [--edit-replay]\n\
+             [--replay-workloads [--jobs N] [--rounds N]] [--edit-replay]\n\
              [--malformed-probe] [<kernel.rfasm | ->]";
 
 fn usage(msg: &str) -> RfhError {
@@ -256,7 +257,7 @@ fn lint_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Res
     let diags = rfh::lint::lint_kernel(&kernel, &options);
     for d in &diags {
         if json {
-            println!("{}", rfh::lint::json_line(name, d));
+            println!("{}", lint_json(name, d).render());
         } else {
             println!("{}", rfh::lint::human_line(name, d));
         }
@@ -281,6 +282,23 @@ fn lint_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Res
         });
     }
     Ok(())
+}
+
+/// One `rfhc lint --json` line: a diagnostic as an object with the
+/// stable field order `kernel, code, severity, block, instr, message`.
+fn lint_json(kernel_name: &str, d: &rfh::lint::Diagnostic) -> rfh::rfhd::Json {
+    use rfh::rfhd::Json;
+    Json::Obj(vec![
+        ("kernel".into(), Json::str(kernel_name)),
+        ("code".into(), Json::str(d.code.as_str())),
+        ("severity".into(), Json::str(d.severity().as_str())),
+        ("block".into(), Json::u64(d.block.index() as u64)),
+        (
+            "instr".into(),
+            d.instr.map_or(Json::Null, |i| Json::u64(i as u64)),
+        ),
+        ("message".into(), Json::str(&d.message)),
+    ])
 }
 
 /// Output format of `rfhc trace`.
@@ -679,7 +697,6 @@ fn client_main(
     let mut malformed = false;
     let mut rounds: usize = 2;
     let mut jobs: usize = rfh_testkit::pool::jobs();
-    let mut bench_json: Option<String> = None;
 
     while let Some(arg) = args.next() {
         if parse_endpoint_flag(&arg, &mut args, &mut endpoint)? {
@@ -714,12 +731,6 @@ fn client_main(
                 let raw = args.next().ok_or_else(|| usage("--jobs needs a value"))?;
                 jobs = rfh_testkit::env::parse_positive_usize("--jobs", &raw)
                     .ok_or_else(|| usage("--jobs needs a positive integer"))?;
-            }
-            "--bench-json" => {
-                bench_json = Some(
-                    args.next()
-                        .ok_or_else(|| usage("--bench-json needs a path"))?,
-                )
             }
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
@@ -760,14 +771,6 @@ fn client_main(
             report.cached(),
             report.failed()
         );
-        if let Some(path) = bench_json.clone() {
-            let rendered = report.bench_json();
-            if path == "-" {
-                print!("{rendered}");
-            } else {
-                std::fs::write(&path, rendered).map_err(|source| RfhError::Io { path, source })?;
-            }
-        }
         if report.failed() > 0 {
             return Err(RfhError::Daemon {
                 message: format!("{} replay request(s) failed", report.failed()),
@@ -783,8 +786,7 @@ fn client_main(
         // The before/after of incremental allocation: allocate every
         // workload cold, edit one immediate (one strand), allocate
         // again; the daemon's strand cache must splice every unchanged
-        // strand. Appends to --bench-json so a replay doc written above
-        // (or by an earlier run) is kept alongside.
+        // strand; a workload that is not fully spliced counts as failed.
         let report = rfh::rfhd::edit_replay(&endpoint, jobs, rfh::rfhd::RetryPolicy::default());
         eprintln!(
             "rfhc client: edit-replayed {} workload(s) with {} job(s) in {} ms — \
@@ -800,24 +802,6 @@ fn client_main(
             report.entries.iter().map(|e| e.edit_hits).sum::<u64>(),
             report.entries.iter().map(|e| e.edit_misses).sum::<u64>(),
         );
-        if let Some(path) = bench_json {
-            let rendered = report.bench_json();
-            if path == "-" {
-                print!("{rendered}");
-            } else {
-                use std::io::Write as _;
-                let mut f = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                    .map_err(|source| RfhError::Io {
-                        path: path.clone(),
-                        source,
-                    })?;
-                f.write_all(rendered.as_bytes())
-                    .map_err(|source| RfhError::Io { path, source })?;
-            }
-        }
         if report.failed() > 0 {
             return Err(RfhError::Daemon {
                 message: format!("{} edit-replay workload(s) failed", report.failed()),

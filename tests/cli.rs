@@ -168,6 +168,21 @@ fn lint_json_output_is_one_object_per_line() {
         );
     }
     assert!(stdout.contains("\"severity\":\"error\""), "{stdout}");
+
+    // Exact bytes, pinned: the field order, an instruction-level and a
+    // block-level (`"instr":null`) finding, and the backticks and
+    // parentheses of the message passed through unescaped.
+    let unreachable = format!("{bad}BB1:\n  exit\n");
+    let out = rfhc_stdin(&["lint", "--json", "-"], &unreachable);
+    assert_eq!(out.status.code(), Some(8));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "{\"kernel\":\"<stdin>\",\"code\":\"RFH-L001\",\"severity\":\"error\",\"block\":0,\
+         \"instr\":0,\"message\":\"r7 may be read before it is defined on some path \
+         (`iadd r0 r7, r7`)\"}\n\
+         {\"kernel\":\"<stdin>\",\"code\":\"RFH-L002\",\"severity\":\"warning\",\"block\":1,\
+         \"instr\":null,\"message\":\"BB1 is unreachable from the kernel entry\"}\n"
+    );
 }
 
 #[test]
