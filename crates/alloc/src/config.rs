@@ -20,6 +20,26 @@ impl LrfMode {
     pub const fn enabled(self) -> bool {
         !matches!(self, LrfMode::None)
     }
+
+    /// Number of LRF banks per lane: none, one, or one per operand slot.
+    pub const fn banks(self) -> usize {
+        match self {
+            LrfMode::None => 0,
+            LrfMode::Unified => 1,
+            LrfMode::Split => 3,
+        }
+    }
+
+    /// Parses the command-line and wire name: `none`, `unified` or
+    /// `split`.
+    pub fn from_name(name: &str) -> Option<LrfMode> {
+        match name {
+            "none" => Some(LrfMode::None),
+            "unified" => Some(LrfMode::Unified),
+            "split" => Some(LrfMode::Split),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for LrfMode {
@@ -148,6 +168,17 @@ mod tests {
         assert!(!LrfMode::None.enabled());
         assert!(LrfMode::Unified.enabled());
         assert!(LrfMode::Split.enabled());
+    }
+
+    #[test]
+    fn lrf_mode_banks_and_names() {
+        assert_eq!(LrfMode::None.banks(), 0);
+        assert_eq!(LrfMode::Unified.banks(), 1);
+        assert_eq!(LrfMode::Split.banks(), 3);
+        assert_eq!(LrfMode::from_name("none"), Some(LrfMode::None));
+        assert_eq!(LrfMode::from_name("unified"), Some(LrfMode::Unified));
+        assert_eq!(LrfMode::from_name("split"), Some(LrfMode::Split));
+        assert_eq!(LrfMode::from_name("wat"), None);
     }
 
     #[test]

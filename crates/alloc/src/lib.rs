@@ -80,4 +80,4 @@ pub use pass::{
     allocate, allocate_incremental, allocate_with_hints, strand_fingerprint, AllocStats,
     IncrementalStats, StrandAllocation,
 };
-pub use validate::validate_placements;
+pub use validate::{placement_findings, validate_placements, Finding, FindingKind};

@@ -45,11 +45,10 @@ pub struct AllocStats {
 /// not run at all when the LRF is disabled.
 fn lrf_banks(mode: LrfMode) -> Result<usize, AllocError> {
     match mode {
-        LrfMode::Unified => Ok(1),
-        LrfMode::Split => Ok(3),
         LrfMode::None => Err(AllocError::Config(
             "LRF pass invoked with LrfMode::None".into(),
         )),
+        _ => Ok(mode.banks()),
     }
 }
 

@@ -403,9 +403,113 @@ impl fmt::Display for Opcode {
     }
 }
 
+/// Evaluates a private-datapath ALU opcode (or an SFU function) on its
+/// operand words, or `None` when the result is not a pure function of the
+/// words (`sel`, compares, memory, control — dispatched elsewhere). The
+/// one copy of the scalar semantics, shared by the executor and the
+/// abstract interpreter.
+///
+/// The payload of a NaN that float arithmetic produces is unspecified in
+/// Rust (operands may be commuted per call site), so two call sites may
+/// return different NaN bits for the same NaN inputs.
+#[inline]
+pub fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
+    let (ia, ib, ic) = (a as i32, b as i32, c as i32);
+    let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
+    let v = match op {
+        Opcode::IAdd => ia.wrapping_add(ib) as u32,
+        Opcode::ISub => ia.wrapping_sub(ib) as u32,
+        Opcode::IMul => ia.wrapping_mul(ib) as u32,
+        Opcode::IMad => ia.wrapping_mul(ib).wrapping_add(ic) as u32,
+        Opcode::IMin => ia.min(ib) as u32,
+        Opcode::IMax => ia.max(ib) as u32,
+        Opcode::And => a & b,
+        Opcode::Or => a | b,
+        Opcode::Xor => a ^ b,
+        Opcode::Shl => a.wrapping_shl(b & 31),
+        Opcode::Shr => a.wrapping_shr(b & 31),
+        Opcode::FAdd => (fa + fb).to_bits(),
+        Opcode::FSub => (fa - fb).to_bits(),
+        Opcode::FMul => (fa * fb).to_bits(),
+        Opcode::FFma => fa.mul_add(fb, fc).to_bits(),
+        Opcode::FMin => fa.min(fb).to_bits(),
+        Opcode::FMax => fa.max(fb).to_bits(),
+        Opcode::Mov => a,
+        Opcode::I2F => (ia as f32).to_bits(),
+        Opcode::F2I => {
+            if fa.is_nan() {
+                0
+            } else {
+                (fa as i32) as u32
+            }
+        }
+        Opcode::Sfu(f) => {
+            let v = match f {
+                SfuOp::Rcp => 1.0 / fa,
+                SfuOp::Rsqrt => 1.0 / fa.sqrt(),
+                SfuOp::Sqrt => fa.sqrt(),
+                SfuOp::Sin => fa.sin(),
+                SfuOp::Cos => fa.cos(),
+                SfuOp::Ex2 => fa.exp2(),
+                SfuOp::Lg2 => fa.log2(),
+            };
+            v.to_bits()
+        }
+        _ => return None,
+    };
+    Some(v)
+}
+
+/// Evaluates a comparison on two operand words: float compare for
+/// `fsetp` (`float`), signed integer compare for `setp`.
+#[inline]
+pub fn eval_cmp(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
+    if float {
+        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
+        match cmp {
+            CmpOp::Eq => fa == fb,
+            CmpOp::Ne => fa != fb,
+            CmpOp::Lt => fa < fb,
+            CmpOp::Le => fa <= fb,
+            CmpOp::Gt => fa > fb,
+            CmpOp::Ge => fa >= fb,
+        }
+    } else {
+        let (ia, ib) = (a as i32, b as i32);
+        match cmp {
+            CmpOp::Eq => ia == ib,
+            CmpOp::Ne => ia != ib,
+            CmpOp::Lt => ia < ib,
+            CmpOp::Le => ia <= ib,
+            CmpOp::Gt => ia > ib,
+            CmpOp::Ge => ia >= ib,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn eval_alu_is_total_over_opcodes() {
+        // Non-ALU opcodes yield None: the executor reports them as
+        // unsupported instead of panicking.
+        for op in [
+            Opcode::Bra,
+            Opcode::Bar,
+            Opcode::Exit,
+            Opcode::Tex,
+            Opcode::Ld(Space::Global),
+            Opcode::St(Space::Shared),
+            Opcode::Setp(CmpOp::Lt),
+            Opcode::Sel,
+        ] {
+            assert_eq!(eval_alu(op, 1, 2, 3), None, "{op}");
+        }
+        assert_eq!(eval_alu(Opcode::IAdd, 1, 2, 3), Some(3));
+        assert_eq!(eval_alu(Opcode::Mov, 7, 0, 0), Some(7));
+    }
 
     #[test]
     fn alu_ops_are_private() {

@@ -21,6 +21,12 @@
 //! | RFH-L010 | warning | provably uniform branch under a thread-dependent predicate |
 //! | RFH-L011 | note | constant-foldable ALU operation |
 //!
+//! RFH-L006 and RFH-L007 report the allocator's own placement checker,
+//! [`rfh_alloc::placement_findings`], so lint agrees with
+//! [`rfh_alloc::validate_placements`] on every kernel. They fire only on
+//! in-memory allocated kernels: the parser reads printed placement
+//! annotations as comments, so a kernel read back from text is all-MRF.
+//!
 //! RFH-L009 through RFH-L011 (and the interval sharpening of RFH-L005 and
 //! dead-edge pruning of RFH-L008) are powered by one run of the abstract
 //! interpreter in `rfh_analysis::absint` — interval value ranges, tid-affine

@@ -1,11 +1,9 @@
-//! RFH-L006 / RFH-L007 — strand/placement consistency for allocated
-//! kernels: the *static* counterpart of `rfh_alloc::validate_placements`.
+//! RFH-L006 / RFH-L007 — placement consistency for allocated kernels.
 //!
-//! The dynamic replay validator stops at the first inconsistency; this
-//! check walks the same per-strand symbolic state (ORF entries and LRF
-//! banks as `Option<Reg>`, met by intersection across paths) but recovers
-//! after each finding and keeps going, attributing every violation to its
-//! instruction:
+//! Reports every finding of the allocator's own checker,
+//! [`rfh_alloc::placement_findings`] — the walk whose first finding
+//! [`rfh_alloc::validate_placements`] gates every allocation on — so the
+//! lint and the validator cannot disagree about a kernel:
 //!
 //! * RFH-L006 — LRF contract violations: shared-datapath reads/writes,
 //!   bank/slot mismatches under the split LRF, 64-bit values, accesses
@@ -15,409 +13,20 @@
 //!   destination, and MRF reads that may observe a stale copy (a path
 //!   whose latest definition skipped the MRF write).
 //!
-//! Strand boundaries come from the `ends_strand` bits already on the
-//! instructions; an unallocated kernel (all placements MRF) passes
-//! trivially.
+//! An unallocated kernel (all placements MRF) passes trivially.
 
-use std::collections::HashMap;
-
-use rfh_alloc::{AllocConfig, LrfMode};
-use rfh_analysis::RegSet;
-use rfh_isa::access::{AccessKind, AccessPlan, AccessSlot, Datapath, Place};
-use rfh_isa::{InstrRef, Kernel, Reg, Width};
+use rfh_alloc::{placement_findings, AllocConfig, FindingKind};
+use rfh_isa::Kernel;
 
 use crate::diag::{Code, Diagnostic};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    orf: Vec<Option<Reg>>,
-    lrf: Vec<Option<Reg>>,
-}
-
-impl State {
-    fn empty(config: &AllocConfig) -> State {
-        let banks = match config.lrf {
-            LrfMode::None => 0,
-            LrfMode::Unified => 1,
-            LrfMode::Split => 3,
-        };
-        State {
-            orf: vec![None; config.orf_entries],
-            lrf: vec![None; banks],
-        }
-    }
-
-    fn meet(&mut self, other: &State) {
-        for (a, b) in self.orf.iter_mut().zip(&other.orf) {
-            if *a != *b {
-                *a = None;
-            }
-        }
-        for (a, b) in self.lrf.iter_mut().zip(&other.lrf) {
-            if *a != *b {
-                *a = None;
-            }
-        }
-    }
-}
-
-/// Splits the kernel into strands on the existing `ends_strand` bits.
-fn segments(kernel: &Kernel) -> Vec<Vec<InstrRef>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::new();
-    for (at, i) in kernel.iter_instrs() {
-        cur.push(at);
-        if i.ends_strand {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-/// MRF freshness: flags every MRF read that may observe a register whose
-/// latest definition on some path skipped the MRF write.
-fn check_mrf_freshness(kernel: &Kernel, diags: &mut Vec<Diagnostic>) {
-    let n = kernel.blocks.len();
-    let num_regs = kernel.num_regs();
-    let mut stale_in = vec![RegSet::new(num_regs); n];
-    let preds = kernel.predecessors();
-
-    let transfer =
-        |stale: &mut RegSet, b: &rfh_isa::BasicBlock, diags: Option<&mut Vec<Diagnostic>>| {
-            let mut diags = diags;
-            let mut plan = AccessPlan::new();
-            for (idx, i) in b.instrs.iter().enumerate() {
-                plan.resolve_into(i);
-                if let Some(out) = diags.as_deref_mut() {
-                    for a in plan.reads() {
-                        if a.place == Place::Mrf && stale.contains(a.reg) {
-                            out.push(Diagnostic::at(
-                                Code::OrfConflict,
-                                InstrRef {
-                                    block: b.id,
-                                    index: idx,
-                                },
-                                format!(
-                                    "MRF read of {} may observe a stale copy — an earlier \
-                                     definition skipped the MRF write (`{i}`)",
-                                    a.reg
-                                ),
-                            ));
-                        }
-                    }
-                }
-                let writes_mrf = plan.writes_mrf();
-                for r in plan.written_words() {
-                    if writes_mrf {
-                        if i.guard.is_none() {
-                            stale.remove(*r);
-                        }
-                    } else {
-                        stale.insert(*r);
-                    }
-                }
-            }
-        };
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in &kernel.blocks {
-            let mut inn = RegSet::new(num_regs);
-            for p in &preds[b.id.index()] {
-                let mut out = stale_in[p.index()].clone();
-                transfer(&mut out, kernel.block(*p), None);
-                inn.union_with(&out);
-            }
-            if inn != stale_in[b.id.index()] {
-                stale_in[b.id.index()] = inn;
-                changed = true;
-            }
-        }
-    }
-    for b in &kernel.blocks {
-        let mut stale = stale_in[b.id.index()].clone();
-        transfer(&mut stale, b, Some(diags));
-    }
-}
-
 /// Runs the check, appending RFH-L006/RFH-L007 findings to `diags`.
 pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagnostic>) {
-    check_mrf_freshness(kernel, diags);
-    let preds = kernel.predecessors();
-    for strand in segments(kernel) {
-        let pos_of: HashMap<InstrRef, usize> =
-            strand.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-        let mut out_states: Vec<State> = Vec::with_capacity(strand.len());
-
-        for (pos, at) in strand.iter().enumerate() {
-            let instr = kernel.instr(*at);
-            let plan = AccessPlan::resolve(instr);
-
-            // ---- in-state ----
-            let mut state: Option<State> = None;
-            let meet_in = |state: &mut Option<State>, s: &State| match state {
-                None => *state = Some(s.clone()),
-                Some(cur) => cur.meet(s),
-            };
-            let mut external = false;
-            if at.index > 0 {
-                let prev = InstrRef {
-                    block: at.block,
-                    index: at.index - 1,
-                };
-                match pos_of.get(&prev) {
-                    Some(p) => meet_in(&mut state, &out_states[*p]),
-                    None => external = true,
-                }
-            } else {
-                for p in &preds[at.block.index()] {
-                    let pb = kernel.block(*p);
-                    let term = InstrRef {
-                        block: *p,
-                        index: pb.instrs.len() - 1,
-                    };
-                    match pos_of.get(&term) {
-                        // Later positions are the strand's own closing
-                        // backedge: inter-strand, upper levels invalid.
-                        Some(t) if *t < pos => meet_in(&mut state, &out_states[*t]),
-                        _ => external = true,
-                    }
-                }
-            }
-            let mut state = match (state, external) {
-                (Some(s), false) => s,
-                (Some(mut s), true) => {
-                    s.meet(&State::empty(config));
-                    s
-                }
-                (None, _) => State::empty(config),
-            };
-
-            // ---- reads ----
-            let mut fills: Vec<(usize, Reg)> = Vec::new();
-            for a in plan
-                .accesses()
-                .iter()
-                .filter(|a| a.kind != AccessKind::Write)
-            {
-                let reg = a.reg;
-                match (a.kind, a.place) {
-                    (AccessKind::Fill, Place::Orf(e)) => {
-                        let e = e as usize;
-                        if e >= config.orf_entries {
-                            diags.push(Diagnostic::at(
-                                Code::OrfConflict,
-                                *at,
-                                format!("fill entry ORF{e} out of range (`{instr}`)"),
-                            ));
-                        } else {
-                            fills.push((e, reg));
-                        }
-                    }
-                    (_, Place::Mrf) | (AccessKind::Fill, _) => {}
-                    (_, Place::Orf(e)) => {
-                        let e = e as usize;
-                        if e >= config.orf_entries {
-                            diags.push(Diagnostic::at(
-                                Code::OrfConflict,
-                                *at,
-                                format!("read entry ORF{e} out of range (`{instr}`)"),
-                            ));
-                        } else if state.orf[e] != Some(reg) {
-                            diags.push(Diagnostic::at(
-                                Code::OrfConflict,
-                                *at,
-                                format!(
-                                    "ORF{e} holds {} but the read expects {reg} (`{instr}`)",
-                                    describe(state.orf[e])
-                                ),
-                            ));
-                        }
-                    }
-                    (_, Place::Lrf(bank)) => {
-                        if !config.lrf.enabled() {
-                            diags.push(Diagnostic::at(
-                                Code::LrfMisuse,
-                                *at,
-                                format!("LRF read but no LRF configured (`{instr}`)"),
-                            ));
-                            continue;
-                        }
-                        if a.datapath == Datapath::Shared {
-                            diags.push(Diagnostic::at(
-                                Code::LrfMisuse,
-                                *at,
-                                format!("the shared datapath cannot read the LRF (`{instr}`)"),
-                            ));
-                            continue;
-                        }
-                        let AccessSlot::Src(i) = a.slot else { continue };
-                        let i = i as usize;
-                        let b = match (config.lrf, bank) {
-                            (LrfMode::Unified, None) => 0,
-                            (LrfMode::Split, Some(s)) => {
-                                if s.index() != i {
-                                    diags.push(Diagnostic::at(
-                                        Code::LrfMisuse,
-                                        *at,
-                                        format!(
-                                            "split LRF read from bank {s} in operand slot {i} \
-                                             (`{instr}`)"
-                                        ),
-                                    ));
-                                    continue;
-                                }
-                                s.index()
-                            }
-                            _ => {
-                                diags.push(Diagnostic::at(
-                                    Code::LrfMisuse,
-                                    *at,
-                                    format!(
-                                        "LRF bank annotation does not match {} mode (`{instr}`)",
-                                        config.lrf
-                                    ),
-                                ));
-                                continue;
-                            }
-                        };
-                        if state.lrf[b] != Some(reg) {
-                            diags.push(Diagnostic::at(
-                                Code::LrfMisuse,
-                                *at,
-                                format!(
-                                    "LRF bank {b} holds {} but the read expects {reg} (`{instr}`)",
-                                    describe(state.lrf[b])
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            for (e, reg) in fills {
-                state.orf[e] = Some(reg);
-            }
-
-            // ---- defs ----
-            if !plan.written_words().is_empty() {
-                let orf_base = plan
-                    .writes()
-                    .find_map(|a| a.place.orf_entry().map(|e| e as usize));
-                let words = plan.written_words().len();
-                let target_lrf: Option<usize> =
-                    plan.writes().find_map(|a| match (config.lrf, a.place) {
-                        (LrfMode::Unified, Place::Lrf(None)) => Some(0),
-                        (LrfMode::Split, Place::Lrf(Some(s))) => Some(s.index()),
-                        _ => None,
-                    });
-                for r in plan.written_words() {
-                    for (e, slot) in state.orf.iter_mut().enumerate() {
-                        let targeted = orf_base.is_some_and(|base| e >= base && e < base + words);
-                        if !targeted && *slot == Some(*r) {
-                            *slot = None;
-                        }
-                    }
-                    for (b, slot) in state.lrf.iter_mut().enumerate() {
-                        if target_lrf != Some(b) && *slot == Some(*r) {
-                            *slot = None;
-                        }
-                    }
-                }
-                let guarded = instr.guard.is_some();
-                let write = |slot: &mut Option<Reg>, reg: Reg| {
-                    if guarded {
-                        if *slot != Some(reg) {
-                            *slot = None;
-                        }
-                    } else {
-                        *slot = Some(reg);
-                    }
-                };
-                if let Some(e) = orf_base {
-                    let slots = words;
-                    if e + slots > config.orf_entries {
-                        diags.push(Diagnostic::at(
-                            Code::OrfConflict,
-                            *at,
-                            format!("write entry ORF{e} (+{slots} wide) out of range (`{instr}`)"),
-                        ));
-                    } else {
-                        for a in plan.writes() {
-                            if let Place::Orf(entry) = a.place {
-                                write(&mut state.orf[entry as usize], a.reg);
-                            }
-                        }
-                    }
-                }
-                for a in plan.writes() {
-                    let Place::Lrf(bank) = a.place else { continue };
-                    // Per-value checks run once, on the low word's access.
-                    if a.slot != AccessSlot::DstWord(0) {
-                        continue;
-                    }
-                    let mut ok = true;
-                    if !config.lrf.enabled() {
-                        diags.push(Diagnostic::at(
-                            Code::LrfMisuse,
-                            *at,
-                            format!("LRF write but no LRF configured (`{instr}`)"),
-                        ));
-                        ok = false;
-                    }
-                    if a.datapath == Datapath::Shared {
-                        diags.push(Diagnostic::at(
-                            Code::LrfMisuse,
-                            *at,
-                            format!("the shared datapath cannot write the LRF (`{instr}`)"),
-                        ));
-                        ok = false;
-                    }
-                    if a.width == Width::W64 {
-                        diags.push(Diagnostic::at(
-                            Code::LrfMisuse,
-                            *at,
-                            format!("64-bit values cannot live in the LRF (`{instr}`)"),
-                        ));
-                        ok = false;
-                    }
-                    if ok {
-                        match (config.lrf, bank) {
-                            (LrfMode::Unified, None) => write(&mut state.lrf[0], a.reg),
-                            (LrfMode::Split, Some(s)) => write(&mut state.lrf[s.index()], a.reg),
-                            _ => diags.push(Diagnostic::at(
-                                Code::LrfMisuse,
-                                *at,
-                                format!(
-                                    "LRF bank annotation does not match {} mode (`{instr}`)",
-                                    config.lrf
-                                ),
-                            )),
-                        }
-                    }
-                }
-            } else if plan.orphan_upper_write() {
-                diags.push(Diagnostic::at(
-                    Code::OrfConflict,
-                    *at,
-                    format!(
-                        "upper-level write annotation on an instruction with no destination \
-                         (`{instr}`)"
-                    ),
-                ));
-            }
-
-            out_states.push(state);
-        }
-    }
-}
-
-fn describe(slot: Option<Reg>) -> String {
-    match slot {
-        Some(r) => format!("{r}"),
-        None => "no known value".to_string(),
-    }
+    diags.extend(placement_findings(kernel, config).into_iter().map(|f| {
+        let code = match f.kind {
+            FindingKind::Lrf => Code::LrfMisuse,
+            FindingKind::OrfMrf => Code::OrfConflict,
+        };
+        Diagnostic::at(code, f.at, f.message)
+    }));
 }

@@ -1,5 +1,8 @@
-//! Every registered workload lints with **zero errors** — before and
-//! after allocation under the paper's best configuration. Warnings are
+//! Every registered workload lints with **zero errors** — before
+//! allocation, and after allocation under the paper's best configuration
+//! both without and with the compiler-assisted last-use hints (whose
+//! guarded conditional ORF entries the placement checks must accept).
+//! Warnings are
 //! allowed (the `reduction` tree has unavoidably conservative race
 //! findings, and several kernels legitimately exceed the upper-level
 //! capacity), but an error on shipped-and-passing workload code would be
@@ -30,17 +33,19 @@ fn all_workloads_lint_without_errors() {
             w.name
         );
 
-        let mut allocated = w.kernel.clone();
-        rfh_alloc::allocate(&mut allocated, &config, &model)
-            .unwrap_or_else(|e| panic!("workload {} fails to allocate: {e}", w.name));
-        let errors: Vec<_> = lint_kernel(&allocated, &options)
-            .into_iter()
-            .filter(|d| d.severity() == Severity::Error)
-            .collect();
-        assert!(
-            errors.is_empty(),
-            "workload {} lints with errors after allocation: {errors:?}",
-            w.name
-        );
+        for hints in [false, true] {
+            let mut allocated = w.kernel.clone();
+            rfh_alloc::allocate_with_hints(&mut allocated, &config, &model, hints)
+                .unwrap_or_else(|e| panic!("workload {} fails to allocate: {e}", w.name));
+            let errors: Vec<_> = lint_kernel(&allocated, &options)
+                .into_iter()
+                .filter(|d| d.severity() == Severity::Error)
+                .collect();
+            assert!(
+                errors.is_empty(),
+                "workload {} (hints {hints}) lints with errors after allocation: {errors:?}",
+                w.name
+            );
+        }
     }
 }

@@ -296,16 +296,8 @@ pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
             config.orf_entries = orf as usize;
         }
         if let Some(lrf) = c.get("lrf").and_then(Json::as_str) {
-            config.lrf = match lrf {
-                "none" => LrfMode::None,
-                "unified" => LrfMode::Unified,
-                "split" => LrfMode::Split,
-                other => {
-                    return Err(usage(format!(
-                        "config.lrf `{other}` not none|unified|split"
-                    )))
-                }
-            };
+            config.lrf = LrfMode::from_name(lrf)
+                .ok_or_else(|| usage(format!("config.lrf `{lrf}` not none|unified|split")))?;
         }
         if let Some(p) = c.get("partial").and_then(Json::as_bool) {
             config.partial_ranges = p;

@@ -36,9 +36,7 @@ use rfh_isa::{
     WriteLoc,
 };
 
-use super::{
-    eval_alu, eval_cmp, lrf_bank_count, ExecError, ExecMode, ExecReport, Launch, Phase, POISON,
-};
+use super::{eval_alu, eval_cmp, ExecError, ExecMode, ExecReport, Launch, Phase, POISON};
 use crate::machine::MachineConfig;
 use crate::mem::{GlobalMemory, SharedMemory};
 use crate::sink::{InstrEvent, TraceSink};
@@ -173,7 +171,7 @@ fn decode<'k>(
     let num_preds = kernel.num_preds().max(1) as usize;
     let (orf_entries, lrf_banks, hierarchy) = match mode {
         ExecMode::Baseline => (0, 0, false),
-        ExecMode::Hierarchy(cfg) => (cfg.orf_entries, lrf_bank_count(cfg.lrf), true),
+        ExecMode::Hierarchy(cfg) => (cfg.orf_entries, cfg.lrf.banks(), true),
     };
     let orf_base = num_regs * width;
     let lrf_base = orf_base + orf_entries * width;

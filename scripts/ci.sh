@@ -21,6 +21,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test"
 cargo test -q --offline
 
+echo "==> benchmark tests (rfhbench builds against the workspace crates)"
+# rfhbench is a separate package with its own lockfile; it imports
+# `validate_placements`, `LrfMode` and friends, so API changes must keep
+# it building and its unit tests green.
+cargo test --release --offline --manifest-path rfhbench/Cargo.toml
+
 echo "==> chaos smoke (bounded fault-injection run)"
 RFH_CHAOS_CASES=200 cargo test -p rfh-chaos -q --offline
 

@@ -142,23 +142,7 @@ fn real_main() -> Result<(), RfhError> {
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--orf" => {
-                let n = args.next().ok_or_else(|| usage("--orf needs a value"))?;
-                config.orf_entries = n
-                    .parse()
-                    .map_err(|_| usage("--orf needs an integer value"))?;
-                if config.orf_entries > 8 {
-                    return Err(usage("ORF sizes beyond 8 entries have no energy model"));
-                }
-            }
-            "--lrf" => {
-                config.lrf = match args.next().as_deref() {
-                    Some("none") => LrfMode::None,
-                    Some("unified") => LrfMode::Unified,
-                    Some("split") => LrfMode::Split,
-                    _ => return Err(usage("--lrf needs none|unified|split")),
-                }
-            }
+            "--orf" | "--lrf" => set_hierarchy_flag(&mut config, &arg, args.next())?,
             "--no-partial" => config.partial_ranges = false,
             "--no-readop" => config.read_operands = false,
             "--hints" => hints = true,
@@ -206,6 +190,32 @@ fn real_main() -> Result<(), RfhError> {
     Ok(())
 }
 
+/// Applies an `--orf N` or `--lrf none|unified|split` flag to `config`;
+/// the default, `lint` and `trace` subcommands share it. ORF sizes are
+/// bounded by the energy model at 8 entries (0 is the MRF-only baseline).
+fn set_hierarchy_flag(
+    config: &mut AllocConfig,
+    flag: &str,
+    value: Option<String>,
+) -> Result<(), RfhError> {
+    if flag == "--orf" {
+        let n = value.ok_or_else(|| usage("--orf needs a value"))?;
+        let n = n
+            .parse()
+            .map_err(|_| usage("--orf needs an integer value"))?;
+        if n > 8 {
+            return Err(usage("ORF sizes beyond 8 entries have no energy model"));
+        }
+        config.orf_entries = n;
+    } else {
+        config.lrf = value
+            .as_deref()
+            .and_then(LrfMode::from_name)
+            .ok_or_else(|| usage("--lrf needs none|unified|split"))?;
+    }
+    Ok(())
+}
+
 /// The `rfhc lint` subcommand: parse, validate, lint, render.
 ///
 /// Diagnostics go to stdout (human lines, or JSON lines under `--json`);
@@ -220,20 +230,7 @@ fn lint_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Res
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--orf" => {
-                let n = args.next().ok_or_else(|| usage("--orf needs a value"))?;
-                options.alloc.orf_entries = n
-                    .parse()
-                    .map_err(|_| usage("--orf needs an integer value"))?;
-            }
-            "--lrf" => {
-                options.alloc.lrf = match args.next().as_deref() {
-                    Some("none") => LrfMode::None,
-                    Some("unified") => LrfMode::Unified,
-                    Some("split") => LrfMode::Split,
-                    _ => return Err(usage("--lrf needs none|unified|split")),
-                }
-            }
+            "--orf" | "--lrf" => set_hierarchy_flag(&mut options.alloc, &arg, args.next())?,
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
             "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
@@ -328,23 +325,7 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--orf" => {
-                let n = args.next().ok_or_else(|| usage("--orf needs a value"))?;
-                config.orf_entries = n
-                    .parse()
-                    .map_err(|_| usage("--orf needs an integer value"))?;
-                if config.orf_entries > 8 {
-                    return Err(usage("ORF sizes beyond 8 entries have no energy model"));
-                }
-            }
-            "--lrf" => {
-                config.lrf = match args.next().as_deref() {
-                    Some("none") => LrfMode::None,
-                    Some("unified") => LrfMode::Unified,
-                    Some("split") => LrfMode::Split,
-                    _ => return Err(usage("--lrf needs none|unified|split")),
-                }
-            }
+            "--orf" | "--lrf" => set_hierarchy_flag(&mut config, &arg, args.next())?,
             "--no-partial" => config.partial_ranges = false,
             "--no-readop" => config.read_operands = false,
             "--hints" => hints = true,

@@ -63,9 +63,20 @@ fn unknown_flag_is_a_usage_error() {
 
 #[test]
 fn oversized_orf_is_rejected() {
-    let out = rfhc(&["--orf", "9", "x.rfasm"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("no energy model"));
+    // `lint` shares the bound: an unbounded ORF would size the placement
+    // checker's per-entry state from the flag.
+    for args in [
+        &["--orf", "9", "x.rfasm"][..],
+        &["lint", "--orf", "9", "x.rfasm"],
+        &["lint", "--orf", "100000000000", "x.rfasm"],
+    ] {
+        let out = rfhc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("no energy model"),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]
