@@ -579,25 +579,10 @@ fn alu_fact(op: Opcode, s: &[AbsVal; 3]) -> AbsVal {
     // result is constant but only warp-uniform if the inputs were (a
     // singleton interval proves agreement among lanes reaching this point,
     // not across the warp).
-    // A NaN produced by float arithmetic is not folded: its payload is
-    // unspecified (the compiler may commute operands per call site), so
-    // the executor need not produce the same bits.
     let consts: Vec<Option<u32>> = s.iter().take(n).map(AbsVal::as_const).collect();
     if consts.iter().all(Option::is_some) {
         let word = |i: usize| consts.get(i).copied().flatten().unwrap_or(0);
-        let float_nan = |v: u32| {
-            matches!(
-                op,
-                Opcode::FAdd
-                    | Opcode::FSub
-                    | Opcode::FMul
-                    | Opcode::FFma
-                    | Opcode::FMin
-                    | Opcode::FMax
-                    | Opcode::Sfu(_)
-            ) && f32::from_bits(v).is_nan()
-        };
-        if let Some(v) = eval_alu(op, word(0), word(1), word(2)).filter(|&v| !float_nan(v)) {
+        if let Some(v) = eval_alu(op, word(0), word(1), word(2)) {
             return AbsVal {
                 uniform,
                 ..AbsVal::constant(v)

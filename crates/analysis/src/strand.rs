@@ -365,6 +365,190 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
     StrandInfo { strands, instr_map }
 }
 
+/// Maps every instruction to its strand index using the `ends_strand` bits
+/// already present on the kernel (set by [`mark_strands`]); returns
+/// `map[block][index] = strand`. Useful for per-strand accounting without
+/// recomputing the full analysis.
+pub fn segment_ids(kernel: &Kernel) -> Vec<Vec<u32>> {
+    let mut map: Vec<Vec<u32>> = kernel
+        .blocks
+        .iter()
+        .map(|b| vec![0; b.instrs.len()])
+        .collect();
+    let mut current = 0u32;
+    for (at, i) in kernel.iter_instrs() {
+        map[at.block.index()][at.index] = current;
+        if i.ends_strand {
+            current += 1;
+        }
+    }
+    map
+}
+
+/// Number of strands implied by the `ends_strand` bits (segments in layout
+/// order; a trailing unterminated run counts as one).
+pub fn segment_count(kernel: &Kernel) -> usize {
+    let ends: usize = kernel.iter_instrs().filter(|(_, i)| i.ends_strand).count();
+    let trailing = kernel
+        .blocks
+        .last()
+        .and_then(|b| b.instrs.last())
+        .map(|i| !i.ends_strand)
+        .unwrap_or(false);
+    ends + usize::from(trailing)
+}
+
+/// Canonical, strand-relative text for one strand: equal canonical texts
+/// guarantee that per-strand allocation (`rfh-alloc`) produces identical
+/// placements relative to the strand's own instructions, so the text can
+/// key an incremental allocation cache.
+///
+/// Allocation of a strand depends on more than its instruction bytes, so
+/// all of the following is encoded (each strand-relative, never absolute):
+///
+/// * the instructions in layout order, with branch targets remapped to
+///   strand-local block indices (`BB4294967295` marks a target outside the
+///   strand);
+/// * each instruction's strand-local block index and in-strand structural
+///   predecessors (the internal forward DAG that reaching-definitions in
+///   [`crate::defuse::strand_values`] flows over), plus an `e` flag where a
+///   path enters the strand from outside (live-in taint, Figure 10a/b);
+/// * per instruction, the registers *defined in the strand* that are live
+///   across any strand exit at that point — exactly the bits that decide
+///   `live_out` (the forced MRF copy, §4.2);
+/// * the dominance relation between the strand's blocks, which bounds
+///   read-operand fill coverage (§4.4) across forward branches.
+///
+/// Everything else the allocator consumes (operand registers, widths,
+/// guards, units, immediates) is part of the printed instruction text.
+/// The text deliberately excludes allocation configuration and energy
+/// model: callers salt the cache key with those separately.
+///
+/// # Panics
+///
+/// Panics if `sid` is out of range for `info`.
+pub fn strand_canonical(
+    kernel: &Kernel,
+    info: &StrandInfo,
+    liveness: &Liveness,
+    dom: &DomTree,
+    sid: StrandId,
+) -> String {
+    let strand = info.strand(sid);
+    let nodes = &strand.instrs;
+    let pos_of: HashMap<InstrRef, usize> = nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
+    let preds = kernel.predecessors();
+    let blocks = strand.blocks();
+    let local: HashMap<BlockId, usize> = blocks.iter().enumerate().map(|(i, b)| (*b, i)).collect();
+
+    // Registers defined anywhere in the strand: the only registers whose
+    // exit liveness can influence allocation (via `live_out`).
+    let strand_defs: BTreeSet<Reg> = nodes
+        .iter()
+        .flat_map(|at| kernel.instr(*at).def_regs())
+        .collect();
+
+    let mut out = String::from("strand-canon-v1\n");
+    // Dominance among strand blocks, layout-ordered pairs i < j (strands
+    // contain only forward control flow, so these are the only queries
+    // read-operand coverage can make).
+    out.push_str("doms=");
+    for (i, bi) in blocks.iter().enumerate() {
+        for bj in blocks.iter().skip(i + 1) {
+            out.push(if dom.dominates(*bi, *bj) { '1' } else { '0' });
+        }
+    }
+    out.push('\n');
+
+    for (pos, at) in nodes.iter().enumerate() {
+        let instr = kernel.instr(*at);
+
+        // In-strand structural predecessors; mirrors the in-state logic of
+        // `defuse::strand_values` exactly.
+        let mut ps: Vec<usize> = Vec::new();
+        let mut external_entry = false;
+        if at.index > 0 {
+            let prev = InstrRef {
+                block: at.block,
+                index: at.index - 1,
+            };
+            match pos_of.get(&prev) {
+                Some(p) => ps.push(*p),
+                None => external_entry = true, // mid-block strand start
+            }
+        } else {
+            for p in &preds[at.block.index()] {
+                let pb = kernel.block(*p);
+                let term = InstrRef {
+                    block: *p,
+                    index: pb.instrs.len() - 1,
+                };
+                match pos_of.get(&term) {
+                    Some(t) if *t < pos => ps.push(*t),
+                    _ => external_entry = true,
+                }
+            }
+            if ps.is_empty() {
+                external_entry = true;
+            }
+        }
+        ps.sort_unstable();
+
+        // Strand-defined registers live across any exit at this point;
+        // mirrors the exit enumeration of the live-out pass in
+        // `defuse::strand_values`.
+        let block = kernel.block(at.block);
+        let is_block_last = at.index + 1 == block.instrs.len();
+        let mut exit_live: BTreeSet<Reg> = BTreeSet::new();
+        if !is_block_last {
+            let next = InstrRef {
+                block: at.block,
+                index: at.index + 1,
+            };
+            if !pos_of.contains_key(&next) {
+                let live = liveness.live_after(kernel, *at);
+                exit_live.extend(strand_defs.iter().copied().filter(|r| live.contains(*r)));
+            }
+        } else {
+            for s in kernel.successors(at.block) {
+                let first = InstrRef { block: s, index: 0 };
+                let internal = matches!(pos_of.get(&first), Some(p) if *p > pos);
+                if !internal {
+                    let live = &liveness.live_in[s.index()];
+                    exit_live.extend(strand_defs.iter().copied().filter(|r| live.contains(*r)));
+                }
+            }
+        }
+
+        // The instruction in its plain printed form, with the branch
+        // target (if any) remapped to a strand-local block index.
+        let text = match instr.target {
+            Some(t) => {
+                let mut relocated = instr.clone();
+                relocated.target = Some(match local.get(&t) {
+                    Some(l) => BlockId::new(*l as u32),
+                    None => BlockId::new(u32::MAX),
+                });
+                relocated.to_string()
+            }
+            None => instr.to_string(),
+        };
+
+        let _ = write!(out, "n{pos} b{} p{ps:?}", local[&at.block]);
+        if external_entry {
+            out.push('e');
+        }
+        out.push_str(" x[");
+        for r in &exit_live {
+            let _ = write!(out, "{},", r.index());
+        }
+        out.push_str("] | ");
+        out.push_str(&text);
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,191 +770,6 @@ BB1:
         assert_eq!(info.strands[0].end_reason, EndReason::KernelEnd);
     }
 }
-
-/// Maps every instruction to its strand index using the `ends_strand` bits
-/// already present on the kernel (set by [`mark_strands`]); returns
-/// `map[block][index] = strand`. Useful for per-strand accounting without
-/// recomputing the full analysis.
-pub fn segment_ids(kernel: &Kernel) -> Vec<Vec<u32>> {
-    let mut map: Vec<Vec<u32>> = kernel
-        .blocks
-        .iter()
-        .map(|b| vec![0; b.instrs.len()])
-        .collect();
-    let mut current = 0u32;
-    for (at, i) in kernel.iter_instrs() {
-        map[at.block.index()][at.index] = current;
-        if i.ends_strand {
-            current += 1;
-        }
-    }
-    map
-}
-
-/// Number of strands implied by the `ends_strand` bits (segments in layout
-/// order; a trailing unterminated run counts as one).
-pub fn segment_count(kernel: &Kernel) -> usize {
-    let ends: usize = kernel.iter_instrs().filter(|(_, i)| i.ends_strand).count();
-    let trailing = kernel
-        .blocks
-        .last()
-        .and_then(|b| b.instrs.last())
-        .map(|i| !i.ends_strand)
-        .unwrap_or(false);
-    ends + usize::from(trailing)
-}
-
-/// Canonical, strand-relative text for one strand: equal canonical texts
-/// guarantee that per-strand allocation (`rfh-alloc`) produces identical
-/// placements relative to the strand's own instructions, so the text can
-/// key an incremental allocation cache.
-///
-/// Allocation of a strand depends on more than its instruction bytes, so
-/// all of the following is encoded (each strand-relative, never absolute):
-///
-/// * the instructions in layout order, with branch targets remapped to
-///   strand-local block indices (`BB4294967295` marks a target outside the
-///   strand);
-/// * each instruction's strand-local block index and in-strand structural
-///   predecessors (the internal forward DAG that reaching-definitions in
-///   [`crate::defuse::strand_values`] flows over), plus an `e` flag where a
-///   path enters the strand from outside (live-in taint, Figure 10a/b);
-/// * per instruction, the registers *defined in the strand* that are live
-///   across any strand exit at that point — exactly the bits that decide
-///   `live_out` (the forced MRF copy, §4.2);
-/// * the dominance relation between the strand's blocks, which bounds
-///   read-operand fill coverage (§4.4) across forward branches.
-///
-/// Everything else the allocator consumes (operand registers, widths,
-/// guards, units, immediates) is part of the printed instruction text.
-/// The text deliberately excludes allocation configuration and energy
-/// model: callers salt the cache key with those separately.
-///
-/// # Panics
-///
-/// Panics if `sid` is out of range for `info`.
-pub fn strand_canonical(
-    kernel: &Kernel,
-    info: &StrandInfo,
-    liveness: &Liveness,
-    dom: &DomTree,
-    sid: StrandId,
-) -> String {
-    let strand = info.strand(sid);
-    let nodes = &strand.instrs;
-    let pos_of: HashMap<InstrRef, usize> = nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-    let preds = kernel.predecessors();
-    let blocks = strand.blocks();
-    let local: HashMap<BlockId, usize> = blocks.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-
-    // Registers defined anywhere in the strand: the only registers whose
-    // exit liveness can influence allocation (via `live_out`).
-    let strand_defs: BTreeSet<Reg> = nodes
-        .iter()
-        .flat_map(|at| kernel.instr(*at).def_regs())
-        .collect();
-
-    let mut out = String::from("strand-canon-v1\n");
-    // Dominance among strand blocks, layout-ordered pairs i < j (strands
-    // contain only forward control flow, so these are the only queries
-    // read-operand coverage can make).
-    out.push_str("doms=");
-    for (i, bi) in blocks.iter().enumerate() {
-        for bj in blocks.iter().skip(i + 1) {
-            out.push(if dom.dominates(*bi, *bj) { '1' } else { '0' });
-        }
-    }
-    out.push('\n');
-
-    for (pos, at) in nodes.iter().enumerate() {
-        let instr = kernel.instr(*at);
-
-        // In-strand structural predecessors; mirrors the in-state logic of
-        // `defuse::strand_values` exactly.
-        let mut ps: Vec<usize> = Vec::new();
-        let mut external_entry = false;
-        if at.index > 0 {
-            let prev = InstrRef {
-                block: at.block,
-                index: at.index - 1,
-            };
-            match pos_of.get(&prev) {
-                Some(p) => ps.push(*p),
-                None => external_entry = true, // mid-block strand start
-            }
-        } else {
-            for p in &preds[at.block.index()] {
-                let pb = kernel.block(*p);
-                let term = InstrRef {
-                    block: *p,
-                    index: pb.instrs.len() - 1,
-                };
-                match pos_of.get(&term) {
-                    Some(t) if *t < pos => ps.push(*t),
-                    _ => external_entry = true,
-                }
-            }
-            if ps.is_empty() {
-                external_entry = true;
-            }
-        }
-        ps.sort_unstable();
-
-        // Strand-defined registers live across any exit at this point;
-        // mirrors the exit enumeration of the live-out pass in
-        // `defuse::strand_values`.
-        let block = kernel.block(at.block);
-        let is_block_last = at.index + 1 == block.instrs.len();
-        let mut exit_live: BTreeSet<Reg> = BTreeSet::new();
-        if !is_block_last {
-            let next = InstrRef {
-                block: at.block,
-                index: at.index + 1,
-            };
-            if !pos_of.contains_key(&next) {
-                let live = liveness.live_after(kernel, *at);
-                exit_live.extend(strand_defs.iter().copied().filter(|r| live.contains(*r)));
-            }
-        } else {
-            for s in kernel.successors(at.block) {
-                let first = InstrRef { block: s, index: 0 };
-                let internal = matches!(pos_of.get(&first), Some(p) if *p > pos);
-                if !internal {
-                    let live = &liveness.live_in[s.index()];
-                    exit_live.extend(strand_defs.iter().copied().filter(|r| live.contains(*r)));
-                }
-            }
-        }
-
-        // The instruction in its plain printed form, with the branch
-        // target (if any) remapped to a strand-local block index.
-        let text = match instr.target {
-            Some(t) => {
-                let mut relocated = instr.clone();
-                relocated.target = Some(match local.get(&t) {
-                    Some(l) => BlockId::new(*l as u32),
-                    None => BlockId::new(u32::MAX),
-                });
-                relocated.to_string()
-            }
-            None => instr.to_string(),
-        };
-
-        let _ = write!(out, "n{pos} b{} p{ps:?}", local[&at.block]);
-        if external_entry {
-            out.push('e');
-        }
-        out.push_str(" x[");
-        for r in &exit_live {
-            let _ = write!(out, "{},", r.index());
-        }
-        out.push_str("] | ");
-        out.push_str(&text);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod canonical_tests {
     use super::*;

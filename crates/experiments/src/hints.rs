@@ -12,14 +12,12 @@
 //! precisely to measure the non-default `--hints` path against it.
 
 use rfh_alloc::AllocConfig;
-use rfh_energy::{AccessCounts, EnergyModel};
-use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::ExecMode;
+use rfh_energy::AccessCounts;
 use rfh_testkit::pool::par_map;
-use rfh_workloads::Workload;
 
+use crate::ctx::{self, ExperimentCtx};
 use crate::report::{norm, Table};
-use crate::runner::{baseline_counts, normalized_energy};
+use crate::runner::{mean, normalized_energy};
 
 /// One workload's hints-off vs. hints-on comparison.
 #[derive(Debug, Clone)]
@@ -48,38 +46,29 @@ impl HintsRow {
     }
 }
 
-fn counted(w: &Workload, cfg: &AllocConfig, model: &EnergyModel, hints: bool) -> AccessCounts {
-    let mut kernel = w.kernel.clone();
-    rfh_alloc::allocate_with_hints(&mut kernel, cfg, model, hints)
-        .unwrap_or_else(|e| panic!("{}: allocation failed: {e}", w.name));
-    let mut counter = SwCounter::default();
-    w.run_and_verify(ExecMode::Hierarchy(*cfg), &kernel, &mut [&mut counter])
-        .unwrap_or_else(|e| panic!("hinted run failed: {e}"));
-    counter.counts()
-}
-
 /// Runs every workload under the paper's best configuration twice —
 /// default allocation and hint-guided allocation — verifying both runs
-/// against the host reference. Cells fan out over the `RFH_JOBS` pool.
+/// against the host reference. The baseline and the hints-off run are the
+/// context's shared cells; only the hinted run executes here. Cells fan
+/// out over the `RFH_JOBS` pool.
 ///
 /// # Panics
 ///
 /// Panics if any workload fails to allocate, execute, or verify — in
 /// either mode; the hinted pipeline is held to the same bar as the
 /// default one.
-pub fn run(workloads: &[Workload]) -> Vec<HintsRow> {
+pub fn run(ctx: &ExperimentCtx) -> Vec<HintsRow> {
     let cfg = AllocConfig::three_level(3, true);
-    let model = EnergyModel::paper();
-    let idx: Vec<usize> = (0..workloads.len()).collect();
+    let idx: Vec<usize> = (0..ctx.workloads().len()).collect();
     par_map(&idx, |&i| {
-        let w = &workloads[i];
-        let base = baseline_counts(w);
-        let off = counted(w, &cfg, &model, false);
-        let on = counted(w, &cfg, &model, true);
+        let w = &ctx.workloads()[i];
+        let off = ctx.sw_counts(i, &cfg);
+        let hinted = ctx::allocate(w, &cfg, ctx.model(), true);
+        let on = ctx::count_strands(w, &cfg, &hinted).total();
         HintsRow {
             name: w.name.clone(),
-            energy_off: normalized_energy(&off, &base, &model, cfg.orf_entries),
-            energy_on: normalized_energy(&on, &base, &model, cfg.orf_entries),
+            energy_off: ctx.sw_normalized(i, &cfg),
+            energy_on: normalized_energy(&on, &ctx.baseline(i), ctx.model(), cfg.orf_entries),
             off,
             on,
         }
@@ -109,8 +98,8 @@ pub fn print(rows: &[HintsRow]) -> String {
             format!("{:+.2}%", (r.energy_on - r.energy_off) * 100.0),
         ]);
     }
-    let mean_off = crate::runner::mean(&rows.iter().map(|r| r.energy_off).collect::<Vec<_>>());
-    let mean_on = crate::runner::mean(&rows.iter().map(|r| r.energy_on).collect::<Vec<_>>());
+    let mean_off = mean(&rows.iter().map(|r| r.energy_off).collect::<Vec<_>>());
+    let mean_on = mean(&rows.iter().map(|r| r.energy_on).collect::<Vec<_>>());
     format!(
         "Last-use hints — hierarchy accesses and energy, `--hints` off vs on\n{}\
          mean normalized energy: {:.4} off, {:.4} on ({:+.2}%)\n",
@@ -128,7 +117,7 @@ mod tests {
     #[test]
     fn hints_never_hurt_and_help_somewhere() {
         let ws = rfh_workloads::all();
-        let rows = run(&ws);
+        let rows = run(&ExperimentCtx::new(&ws));
         assert!(rows.len() >= 15);
         for r in &rows {
             assert!(

@@ -54,4 +54,3 @@ pub mod runner;
 pub mod tables;
 
 pub use ctx::ExperimentCtx;
-pub use runner::{baseline_counts, hw_counts, sw_counts};

@@ -403,15 +403,33 @@ impl fmt::Display for Opcode {
     }
 }
 
+/// CUDA's canonical single-precision NaN, the one NaN bit pattern
+/// [`eval_alu`] produces.
+const CANONICAL_NAN: u32 = 0x7fff_ffff;
+
+/// `v`'s bits, or [`CANONICAL_NAN`] if `v` is a NaN. The test runs on the
+/// integer bits: as a float compare, the optimizer may prove it equal to
+/// a condition on the operands (`sqrt(x)` is NaN iff `x < 0`) and fold
+/// the select back into the raw result, whose NaN payload is the host's.
+#[inline]
+fn canon(v: f32) -> u32 {
+    let bits = v.to_bits();
+    if bits & 0x7fff_ffff > 0x7f80_0000 {
+        CANONICAL_NAN
+    } else {
+        bits
+    }
+}
+
 /// Evaluates a private-datapath ALU opcode (or an SFU function) on its
 /// operand words, or `None` when the result is not a pure function of the
 /// words (`sel`, compares, memory, control — dispatched elsewhere). The
 /// one copy of the scalar semantics, shared by the executor and the
 /// abstract interpreter.
 ///
-/// The payload of a NaN that float arithmetic produces is unspecified in
-/// Rust (operands may be commuted per call site), so two call sites may
-/// return different NaN bits for the same NaN inputs.
+/// Every float result that is NaN comes back as CUDA's canonical NaN
+/// (`0x7fff_ffff`), so the result bits never depend on which payload the
+/// host arithmetic propagated.
 #[inline]
 pub fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
     let (ia, ib, ic) = (a as i32, b as i32, c as i32);
@@ -428,12 +446,12 @@ pub fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
         Opcode::Xor => a ^ b,
         Opcode::Shl => a.wrapping_shl(b & 31),
         Opcode::Shr => a.wrapping_shr(b & 31),
-        Opcode::FAdd => (fa + fb).to_bits(),
-        Opcode::FSub => (fa - fb).to_bits(),
-        Opcode::FMul => (fa * fb).to_bits(),
-        Opcode::FFma => fa.mul_add(fb, fc).to_bits(),
-        Opcode::FMin => fa.min(fb).to_bits(),
-        Opcode::FMax => fa.max(fb).to_bits(),
+        Opcode::FAdd => canon(fa + fb),
+        Opcode::FSub => canon(fa - fb),
+        Opcode::FMul => canon(fa * fb),
+        Opcode::FFma => canon(fa.mul_add(fb, fc)),
+        Opcode::FMin => canon(fa.min(fb)),
+        Opcode::FMax => canon(fa.max(fb)),
         Opcode::Mov => a,
         Opcode::I2F => (ia as f32).to_bits(),
         Opcode::F2I => {
@@ -453,7 +471,7 @@ pub fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
                 SfuOp::Ex2 => fa.exp2(),
                 SfuOp::Lg2 => fa.log2(),
             };
-            v.to_bits()
+            canon(v)
         }
         _ => return None,
     };
@@ -509,6 +527,55 @@ mod tests {
         }
         assert_eq!(eval_alu(Opcode::IAdd, 1, 2, 3), Some(3));
         assert_eq!(eval_alu(Opcode::Mov, 7, 0, 0), Some(7));
+    }
+
+    #[test]
+    fn float_nan_results_are_canonical() {
+        // Quiet and signalling NaNs with distinct sign bits and payloads.
+        let nans = [0x7fc0_0001u32, 0xffc1_2345, 0x7f80_0001, 0xff80_0002];
+        let one = 1.0f32.to_bits();
+        let binary = [
+            Opcode::FAdd,
+            Opcode::FSub,
+            Opcode::FMul,
+            Opcode::FMin,
+            Opcode::FMax,
+        ];
+        for &x in &nans {
+            for &y in &nans {
+                for op in binary {
+                    // Both operand orders of two different NaNs.
+                    assert_eq!(eval_alu(op, x, y, 0), Some(CANONICAL_NAN), "{op}");
+                    assert_eq!(eval_alu(op, y, x, 0), Some(CANONICAL_NAN), "{op}");
+                }
+                for (a, b, c) in [(x, y, one), (one, x, y), (y, one, x)] {
+                    assert_eq!(eval_alu(Opcode::FFma, a, b, c), Some(CANONICAL_NAN));
+                }
+            }
+            // fmin/fmax return the number here (IEEE minNum), so only
+            // the arithmetic ops take a NaN against a number.
+            for op in [Opcode::FAdd, Opcode::FSub, Opcode::FMul] {
+                assert_eq!(eval_alu(op, x, one, 0), Some(CANONICAL_NAN), "{op}");
+                assert_eq!(eval_alu(op, one, x, 0), Some(CANONICAL_NAN), "{op}");
+            }
+            for f in SfuOp::ALL {
+                assert_eq!(
+                    eval_alu(Opcode::Sfu(f), x, 0, 0),
+                    Some(CANONICAL_NAN),
+                    "{f:?}"
+                );
+            }
+        }
+        // NaNs the arithmetic creates from numbers are canonical too.
+        let inf = f32::INFINITY.to_bits();
+        assert_eq!(eval_alu(Opcode::FSub, inf, inf, 0), Some(CANONICAL_NAN));
+        let neg = (-1.0f32).to_bits();
+        assert_eq!(
+            eval_alu(Opcode::Sfu(SfuOp::Sqrt), neg, 0, 0),
+            Some(CANONICAL_NAN)
+        );
+        // Ordinary results keep their bits.
+        assert_eq!(eval_alu(Opcode::FAdd, one, one, 0), Some(2.0f32.to_bits()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Access counting for software-managed hierarchies.
 
 use rfh_energy::AccessCounts;
+use rfh_isa::{InstrRef, Kernel};
 
 use crate::sink::{InstrEvent, TraceSink};
 
@@ -28,6 +29,62 @@ impl SwCounter {
 impl TraceSink for SwCounter {
     fn on_instr(&mut self, event: &InstrEvent<'_>) {
         self.counts.record_plan(event.plan);
+    }
+}
+
+/// Per-strand access counting: like [`SwCounter`] but attributing every
+/// access, and every issued warp instruction, to the strand of its
+/// instruction. The §7 variable-ORF oracle sizes each strand's ORF from
+/// these buckets, and [`EnergyProfiler`](crate::profile::EnergyProfiler)
+/// prices them.
+#[derive(Debug, Clone)]
+pub struct StrandCounter {
+    map: Vec<Vec<u32>>,
+    counts: Vec<AccessCounts>,
+    instrs: Vec<u64>,
+}
+
+impl StrandCounter {
+    /// Builds a counter from a kernel whose `ends_strand` bits are set
+    /// (an unallocated kernel is one big strand).
+    pub fn new(kernel: &Kernel) -> Self {
+        let map = rfh_analysis::strand::segment_ids(kernel);
+        let strands = rfh_analysis::strand::segment_count(kernel).max(1);
+        StrandCounter {
+            map,
+            counts: vec![AccessCounts::default(); strands],
+            instrs: vec![0; strands],
+        }
+    }
+
+    /// The strand of the instruction at `at`.
+    pub fn strand_of(&self, at: InstrRef) -> usize {
+        self.map[at.block.index()][at.index] as usize
+    }
+
+    /// Per-strand counts, indexed by strand.
+    pub fn per_strand(&self) -> &[AccessCounts] {
+        &self.counts
+    }
+
+    /// Warp instructions issued from each strand, indexed by strand.
+    pub fn instrs(&self) -> &[u64] {
+        &self.instrs
+    }
+
+    /// Sum over all strands (equals what [`SwCounter`] would report).
+    pub fn total(&self) -> AccessCounts {
+        self.counts
+            .iter()
+            .fold(AccessCounts::default(), |a, b| a + *b)
+    }
+}
+
+impl TraceSink for StrandCounter {
+    fn on_instr(&mut self, event: &InstrEvent<'_>) {
+        let sid = self.strand_of(event.at);
+        self.instrs[sid] += 1;
+        self.counts[sid].record_plan(event.plan);
     }
 }
 
@@ -152,45 +209,5 @@ BB0:
         );
         // mov(1) + wide ld(2) + iadd(1) = 4 write accesses.
         assert_eq!(c.mrf_write, 4);
-    }
-}
-
-/// Per-strand access counting: like [`SwCounter`] but attributing every
-/// access to the strand of its instruction (for the §7 variable-ORF
-/// oracle, which sizes each strand's ORF independently).
-#[derive(Debug, Clone)]
-pub struct StrandCounter {
-    map: Vec<Vec<u32>>,
-    counts: Vec<AccessCounts>,
-}
-
-impl StrandCounter {
-    /// Builds a counter from a kernel whose `ends_strand` bits are set.
-    pub fn new(kernel: &rfh_isa::Kernel) -> Self {
-        let map = rfh_analysis::strand::segment_ids(kernel);
-        let strands = rfh_analysis::strand::segment_count(kernel).max(1);
-        StrandCounter {
-            map,
-            counts: vec![AccessCounts::default(); strands],
-        }
-    }
-
-    /// Per-strand counts, indexed by strand.
-    pub fn per_strand(&self) -> &[AccessCounts] {
-        &self.counts
-    }
-
-    /// Sum over all strands (equals what [`SwCounter`] would report).
-    pub fn total(&self) -> AccessCounts {
-        self.counts
-            .iter()
-            .fold(AccessCounts::default(), |a, b| a + *b)
-    }
-}
-
-impl TraceSink for StrandCounter {
-    fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        let sid = self.map[event.at.block.index()][event.at.index] as usize;
-        self.counts[sid].record_plan(event.plan);
     }
 }

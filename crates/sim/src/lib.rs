@@ -14,9 +14,10 @@
 //!   modeled ORF/LRF storage according to the compiler's placements, and
 //!   upper levels are poisoned at strand boundaries — so a mis-allocated
 //!   kernel produces wrong results instead of silently passing;
-//! * [`sink`] — the instruction-trace observer interface, including the
-//!   [`FanoutSink`] combinator for composing observer stacks;
-//! * [`counts`] — access counting for software-managed hierarchies;
+//! * [`sink`] — the instruction-trace observer interface (the executor
+//!   drives a slice of sinks, so observers stack without a combinator);
+//! * [`counts`] — access counting for software-managed hierarchies, in
+//!   total and per strand;
 //! * [`profile`] — per-strand energy attribution (accesses × energy
 //!   model, bucketed by strand);
 //! * [`trace`] — structured trace export (JSON lines / Chrome trace);
@@ -70,7 +71,7 @@ pub use machine::MachineConfig;
 pub use mem::GlobalMemory;
 pub use profile::EnergyProfiler;
 pub use rfc::{HwCounter, RfcConfig};
-pub use sink::{FanoutSink, TraceSink};
+pub use sink::TraceSink;
 pub use timing::{
     simulate_multi_sm, simulate_timing, simulate_timing_with_engine, BankPolicy, ConfigError,
     DeadlockSnapshot, Engine as TimingEngine, LatencyClass, MemoryModel, MultiSmConfig,

@@ -2,35 +2,26 @@
 //!
 //! [`SwCounter`](crate::counts::SwCounter) answers *how much* hierarchy
 //! traffic a kernel generates; this profiler answers *where it comes
-//! from*: every resolved access is attributed to the strand of its
-//! instruction and priced through the [`EnergyModel`], yielding a
-//! deterministic table of per-strand access counts, energy, and share of
-//! the kernel total. Strands are the paper's allocation unit (§4.2), so
+//! from*: a [`StrandCounter`] attributes every resolved access to the
+//! strand of its instruction, and the profiler prices the buckets through
+//! the [`EnergyModel`], yielding a deterministic table of per-strand
+//! access counts, energy, and share of the kernel total. Strands are the paper's allocation unit (§4.2), so
 //! this is the natural granularity for asking "which piece of the kernel
 //! pays for the MRF".
 
 use rfh_energy::{AccessCounts, EnergyBreakdown, EnergyModel};
 use rfh_isa::{InstrRef, Kernel};
 
+use crate::counts::StrandCounter;
 use crate::sink::{InstrEvent, TraceSink};
 
-/// Accumulated traffic of one strand.
-#[derive(Debug, Clone)]
-pub struct StrandProfile {
-    /// The strand's first instruction (its label in reports).
-    pub start: InstrRef,
-    /// Warp instructions executed from this strand.
-    pub instrs: u64,
-    /// Register-file accesses attributed to this strand.
-    pub counts: AccessCounts,
-}
-
-/// A [`TraceSink`] that buckets every register-file access by the strand
-/// of its instruction and prices the buckets through an [`EnergyModel`].
+/// A [`TraceSink`] that prices the per-strand buckets of a
+/// [`StrandCounter`] through an [`EnergyModel`].
 #[derive(Debug, Clone)]
 pub struct EnergyProfiler {
-    map: Vec<Vec<u32>>,
-    strands: Vec<StrandProfile>,
+    counter: StrandCounter,
+    /// Each strand's first instruction (its label in reports).
+    starts: Vec<InstrRef>,
     model: EnergyModel,
     orf_entries: usize,
 }
@@ -40,51 +31,43 @@ impl EnergyProfiler {
     /// (an unallocated kernel is one big strand). `orf_entries` sizes the
     /// ORF for pricing and is clamped into the model's 1–8 entry table.
     pub fn new(kernel: &Kernel, model: EnergyModel, orf_entries: usize) -> Self {
-        let map = rfh_analysis::strand::segment_ids(kernel);
-        let n = rfh_analysis::strand::segment_count(kernel).max(1);
-        let mut starts: Vec<Option<InstrRef>> = vec![None; n];
+        let counter = StrandCounter::new(kernel);
+        let mut starts: Vec<Option<InstrRef>> = vec![None; counter.per_strand().len()];
         for (at, _) in kernel.iter_instrs() {
-            let sid = map[at.block.index()][at.index] as usize;
-            if starts[sid].is_none() {
-                starts[sid] = Some(at);
-            }
+            starts[counter.strand_of(at)].get_or_insert(at);
         }
-        let strands = starts
+        let starts = starts
             .into_iter()
-            .map(|start| StrandProfile {
-                start: start.unwrap_or(InstrRef {
+            .map(|start| {
+                start.unwrap_or(InstrRef {
                     block: rfh_isa::BlockId::new(0),
                     index: 0,
-                }),
-                instrs: 0,
-                counts: AccessCounts::default(),
+                })
             })
             .collect();
         EnergyProfiler {
-            map,
-            strands,
+            counter,
+            starts,
             model,
             orf_entries: orf_entries.clamp(1, 8),
         }
     }
 
-    /// The per-strand profiles, indexed by strand id.
-    pub fn per_strand(&self) -> &[StrandProfile] {
-        &self.strands
+    /// The underlying per-strand counts.
+    pub fn counter(&self) -> &StrandCounter {
+        &self.counter
     }
 
     /// The priced energy of one strand's traffic.
     pub fn energy_of(&self, strand: usize) -> EnergyBreakdown {
         self.model
-            .energy(&self.strands[strand].counts, self.orf_entries)
+            .energy(&self.counter.per_strand()[strand], self.orf_entries)
     }
 
     /// Sum of all strands (equals a [`crate::counts::SwCounter`] over the
     /// same run).
     pub fn total_counts(&self) -> AccessCounts {
-        self.strands
-            .iter()
-            .fold(AccessCounts::default(), |a, s| a + s.counts)
+        self.counter.total()
     }
 
     /// The priced energy of the whole run.
@@ -105,14 +88,15 @@ impl EnergyProfiler {
             "strand\tstart\tinstrs\tmrf.r\tmrf.w\torf.r\torf.w\tlrf.r\tlrf.w\tenergy_pj\tshare\n",
         );
         let total = self.total_energy().total();
-        for (sid, s) in self.strands.iter().enumerate() {
+        let counts = self.counter.per_strand();
+        let instrs = self.counter.instrs();
+        for (sid, c) in counts.iter().enumerate() {
             let e = self.energy_of(sid).total();
             let share = if total > 0.0 { e / total } else { 0.0 };
-            let c = &s.counts;
             out.push_str(&format!(
                 "{sid}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{e:.3}\t{share:.4}\n",
-                s.start,
-                s.instrs,
+                self.starts[sid],
+                instrs[sid],
                 c.mrf_read,
                 c.mrf_write,
                 c.orf_read_private + c.orf_read_shared,
@@ -124,7 +108,7 @@ impl EnergyProfiler {
         let c = self.total_counts();
         out.push_str(&format!(
             "total\t-\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{total:.3}\t1.0000\n",
-            self.strands.iter().map(|s| s.instrs).sum::<u64>(),
+            instrs.iter().sum::<u64>(),
             c.mrf_read,
             c.mrf_write,
             c.orf_read_private + c.orf_read_shared,
@@ -138,10 +122,7 @@ impl EnergyProfiler {
 
 impl TraceSink for EnergyProfiler {
     fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        let sid = self.map[event.at.block.index()][event.at.index] as usize;
-        let s = &mut self.strands[sid];
-        s.instrs += 1;
-        s.counts.record_plan(event.plan);
+        self.counter.on_instr(event);
     }
 }
 
@@ -193,14 +174,17 @@ BB0:
     fn strand_totals_match_flat_counter() {
         let (prof, sw) = run(Some(AllocConfig::two_level(3)));
         assert_eq!(prof.total_counts(), sw.counts());
-        assert!(prof.per_strand().len() > 1, "allocation split strands");
+        assert!(
+            prof.counter().per_strand().len() > 1,
+            "allocation split strands"
+        );
     }
 
     #[test]
     fn shares_sum_to_one() {
         let (prof, _) = run(Some(AllocConfig::two_level(3)));
         let total = prof.total_energy().total();
-        let sum: f64 = (0..prof.per_strand().len())
+        let sum: f64 = (0..prof.counter().per_strand().len())
             .map(|s| prof.energy_of(s).total())
             .sum();
         assert!((sum - total).abs() < 1e-9);

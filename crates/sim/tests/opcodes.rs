@@ -78,7 +78,15 @@ macro_rules! float_op_test {
             let got = run_binary($body, &a, &b);
             let f: fn(f32, f32) -> f32 = $f;
             for lane in 0..32 {
-                let expect = f(f32::from_bits(a[lane]), f32::from_bits(b[lane])).to_bits();
+                // Every NaN result is CUDA's canonical quiet NaN,
+                // whatever payload the host arithmetic produced. The NaN
+                // test runs on the bits (see `rfh_isa::eval_alu`).
+                let r = f(f32::from_bits(a[lane]), f32::from_bits(b[lane])).to_bits();
+                let expect = if r & 0x7fff_ffff > 0x7f80_0000 {
+                    0x7fff_ffff
+                } else {
+                    r
+                };
                 assert_eq!(got[lane], expect, "lane {lane}");
             }
         }

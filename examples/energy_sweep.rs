@@ -7,8 +7,8 @@
 //! ```
 
 use rfh::alloc::AllocConfig;
-use rfh::energy::EnergyModel;
-use rfh::experiments::runner::{baseline_counts, hw_counts, normalized_energy, sw_counts};
+use rfh::experiments::runner::normalized_energy;
+use rfh::experiments::ExperimentCtx;
 use rfh::sim::rfc::RfcConfig;
 
 fn main() {
@@ -23,8 +23,9 @@ fn main() {
         std::process::exit(2);
     };
 
-    let model = EnergyModel::paper();
-    let base = baseline_counts(&w);
+    let workloads = [w];
+    let ctx = ExperimentCtx::new(&workloads);
+    let w = &workloads[0];
     println!(
         "workload: {} ({} warp threads)",
         w.name,
@@ -32,14 +33,12 @@ fn main() {
     );
     println!("entries  HW RFC  SW ORF  SW ORF+split LRF");
     for entries in 1..=8 {
-        let hw = hw_counts(&w, &RfcConfig::two_level(entries));
-        let sw = sw_counts(&w, &AllocConfig::two_level(entries), &model);
-        let sw3 = sw_counts(&w, &AllocConfig::three_level(entries, true), &model);
+        let hw = ctx.hw_counts(0, &RfcConfig::two_level(entries));
         println!(
             "{entries:^7}  {:.3}   {:.3}   {:.3}",
-            normalized_energy(&hw, &base, &model, entries),
-            normalized_energy(&sw, &base, &model, entries),
-            normalized_energy(&sw3, &base, &model, entries),
+            normalized_energy(&hw, &ctx.baseline(0), ctx.model(), entries),
+            ctx.sw_normalized(0, &AllocConfig::two_level(entries)),
+            ctx.sw_normalized(0, &AllocConfig::three_level(entries, true)),
         );
     }
 }

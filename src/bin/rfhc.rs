@@ -310,9 +310,8 @@ enum TraceFormat {
 /// execute, and export the structured trace.
 ///
 /// The trace goes to stdout in the selected format (JSON lines by
-/// default); a one-line summary goes to stderr. The whole observer stack
-/// — exporter, per-strand energy profiler, access counter — hangs off one
-/// `FanoutSink`, so the executor sees a single sink.
+/// default); a one-line summary goes to stderr. The executor drives the
+/// exporter and the per-strand energy profiler side by side.
 fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Result<(), RfhError> {
     let mut config = AllocConfig::three_level(3, true);
     let mut hints = false;
@@ -376,11 +375,6 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
     let mut exporter = rfh::sim::TraceExporter::new(&kernel);
     let mut profiler =
         rfh::sim::EnergyProfiler::new(&kernel, EnergyModel::paper(), config.orf_entries);
-    let mut counter = rfh::sim::SwCounter::default();
-    let mut fan = rfh::sim::FanoutSink::new()
-        .with(&mut exporter)
-        .with(&mut profiler)
-        .with(&mut counter);
 
     let launch = rfh::sim::Launch::new(ctas, threads);
     let mut mem = rfh::sim::GlobalMemory::new(1 << 16);
@@ -392,7 +386,7 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
         mode,
         &machine,
         engine,
-        &mut [&mut fan],
+        &mut [&mut exporter, &mut profiler],
     )?;
 
     match format {
@@ -403,7 +397,7 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
     eprintln!(
         "rfhc trace: {} — {} strand(s), total energy {:.3} pJ",
         exporter.summary(),
-        profiler.per_strand().len(),
+        profiler.counter().per_strand().len(),
         profiler.total_energy().total()
     );
     Ok(())
