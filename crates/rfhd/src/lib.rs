@@ -14,8 +14,11 @@
 //! * [`proto`] — framing, the request/response schema, and the
 //!   [`ErrorKind`](proto::ErrorKind) taxonomy whose classes carry the
 //!   same stable codes `rfhc` uses as exit codes.
-//! * [`handler`] — pure request decoding and op dispatch; every pipeline
-//!   failure becomes a structured error frame.
+//! * [`handler`] — the [`Request`](handler::Request) both front ends
+//!   build (this crate's decoder from JSON, `rfhc` from argv) and the one
+//!   [`compute`](handler::compute) path they share; every pipeline
+//!   failure becomes a typed [`Failure`](handler::Failure) and, here, a
+//!   structured error frame.
 //! * [`cache`] — the content-hash-keyed LRU result store (also reused by
 //!   `rfh_experiments` for its memoization).
 //! * [`server`] — listeners, the bounded worker pool, per-request panic
@@ -42,7 +45,10 @@ pub use client::{
     edit_replay, malformed_probe, replay_workloads, Client, ClientError, EditReplayReport,
     ReplayReport, RetryPolicy,
 };
-pub use handler::{decode_request, handle, handle_with, Budgets, Op, Request, StrandStore};
+pub use handler::{
+    compute, decode_request, handle, handle_with, launch_bound, orf_entries, Budgets, Failure,
+    KernelSource, Op, Outcome, Request, StrandStore, TimingModel,
+};
 pub use json::Json;
 pub use proto::{ErrorFrame, ErrorKind, SCHEMA};
 pub use rfh_testkit::json;

@@ -42,6 +42,9 @@
 
 use std::io::{Read, Write};
 
+use rfh_alloc::AllocError;
+use rfh_isa::IsaError;
+
 use crate::json::Json;
 
 /// The protocol schema tag every frame carries.
@@ -212,11 +215,28 @@ impl ErrorKind {
         })
     }
 
-    /// The stable exit code a client maps this class to. Pipeline classes
-    /// reuse the `rfhc` table (3 parse, 4 invalid kernel, 5 config, 6
-    /// exec, 7 timing, 8 lint); daemon-side classes (`protocol`,
-    /// `timeout`, `overloaded`) map to 9, `usage` to 2, and `internal` to
-    /// the panic code 70.
+    /// The class of a parse or validation failure.
+    pub fn of_isa(e: &IsaError) -> ErrorKind {
+        match e {
+            IsaError::Parse { .. } => ErrorKind::Parse,
+            IsaError::Validate { .. } => ErrorKind::InvalidKernel,
+        }
+    }
+
+    /// The class of an allocation failure. An invalid kernel is the same
+    /// failure whether the caller or the allocator noticed it first.
+    pub fn of_alloc(e: &AllocError) -> ErrorKind {
+        match e {
+            AllocError::InvalidKernel(_) => ErrorKind::InvalidKernel,
+            AllocError::Config(_) => ErrorKind::Config,
+        }
+    }
+
+    /// The stable exit code of this class: the one table both `rfhc`'s
+    /// exit codes and `rfhc client`'s daemon-frame codes come from (2
+    /// usage, 3 parse, 4 invalid kernel, 5 config, 6 exec, 7 timing, 8
+    /// lint); daemon-side classes (`protocol`, `timeout`, `overloaded`)
+    /// map to 9, and `internal` to the panic code 70.
     pub const fn exit_code(self) -> i32 {
         match self {
             ErrorKind::Usage => 2,

@@ -182,6 +182,14 @@ for jobs in 1 8; do
     set -e
     { [ "$rc" -eq 9 ] || [ "$rc" -eq 6 ]; } \
         || { echo "spin kernel exited $rc, want 9 (timeout) or 6 (budget)"; exit 1; }
+    # Both front ends run one compute path: local `rfhc timing` and the
+    # daemon's `timing` op must report the same total cycles.
+    local_cycles=$(./target/release/rfhc timing --workload vectoradd 2> /dev/null \
+        | grep '^total:' | grep -o 'cycles [0-9]*' | cut -d' ' -f2)
+    remote_cycles=$(./target/release/rfhc client --unix "$sock" \
+        --op timing --workload vectoradd | grep -o '"cycles":[0-9]*' | cut -d: -f2)
+    [ -n "$local_cycles" ] && [ "$local_cycles" = "$remote_cycles" ] \
+        || { echo "rfhc timing cycles ${local_cycles:-none} != daemon ${remote_cycles:-none}"; exit 1; }
     # The daemon is still healthy: replay every workload concurrently
     # (the replay exits non-zero if any request fails).
     ./target/release/rfhc client --unix "$sock" --replay-workloads \

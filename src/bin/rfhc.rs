@@ -6,18 +6,15 @@
 //! subcommand runs the `rfh-lint` static analyzer instead of allocating;
 //! the `trace` subcommand allocates, executes, and exports the structured
 //! instruction trace (JSON lines, Chrome trace, or the per-strand energy
-//! profile).
+//! profile). `USAGE` below lists the flags.
 //!
-//! ```text
-//! rfhc [--orf N] [--lrf none|unified|split] [--no-partial] [--no-readop]
-//!      [--hints] [--plain] [--stats] [--jobs N] <kernel.rfasm | ->
-//! rfhc lint [--orf N] [--lrf none|unified|split] [--json]
-//!      [--deny-warnings] [--jobs N] <kernel.rfasm | ->
-//! rfhc trace [--orf N] [--lrf none|unified|split] [--no-partial]
-//!      [--no-readop] [--hints] [--baseline] [--json | --chrome | --profile]
-//!      [--ctas N] [--threads N] [--engine soa|reference] [--jobs N]
-//!      <kernel.rfasm | ->
-//! ```
+//! The four compute subcommands build one [`rfh::rfhd::Request`] from
+//! argv — the same request the daemon decodes from JSON, under the same
+//! field rules — and run it through the daemon's own
+//! [`rfh::rfhd::compute`]; only the rendering here is `rfhc`'s. Every
+//! subcommand takes its kernel as a file, `-` for stdin, or `--workload
+//! NAME` (a paper-suite workload, which brings its own launch, so
+//! combining it with `--ctas`/`--threads` is a usage error).
 //!
 //! `--hints` feeds the allocator compiler-assisted last-use hints from the
 //! abstract interpreter (`rfh_analysis::absint`): reads proven to be a
@@ -30,15 +27,13 @@
 //! tested against. Both produce byte-identical traces; the flag exists so
 //! any divergence can be reproduced from the command line.
 //!
-//! The `timing` subcommand replays a captured instruction trace through
-//! the cycle-level two-level-scheduler model (`rfh::sim::timing`) across
-//! `--sms N` SM contexts sharing a contended memory model, and prints the
-//! per-SM and chip-level results. Its own `--engine staged|reference`
-//! flag picks between the default engine and the frozen reference
-//! oracle; both produce identical results, and the output is
-//! byte-identical at any `--jobs` count. `--ctas`/`--threads` set the
-//! launch of a kernel file only: a `--workload` brings its own launch,
-//! so combining them is a usage error.
+//! The `timing` subcommand replays the captured baseline instruction
+//! trace through the cycle-level two-level-scheduler model
+//! (`rfh::sim::timing`) across `--sms N` SM contexts sharing a contended
+//! memory model, and prints the per-SM and chip-level results. Its own
+//! `--engine staged|reference` flag picks between the default engine and
+//! the frozen reference oracle; both produce identical results, and the
+//! output is byte-identical at any `--jobs` count.
 //!
 //! The `serve` subcommand runs the compile-service daemon (`rfh-rfhd`) in
 //! the foreground; `client` drives it — one request, or the
@@ -46,19 +41,19 @@
 //! non-zero when any workload fails. Timing the daemon is the job of the
 //! repository benchmark (`rfhbench --workload daemon --trace 1`).
 //!
-//! Exit codes are stable per error class (see `docs/ROBUSTNESS.md`):
-//! 0 success, 1 I/O, 2 usage, 3 parse error, 4 invalid kernel, 5 bad
-//! allocation config, 6 execution error, 8 lint errors, 9 daemon failure
-//! (protocol violation, timeout, overload), 70 internal panic. `rfhc
-//! lint` exits 0 when only warnings were found; `rfhc client` maps a
-//! daemon error frame to the frame's own class code.
+//! Exit codes are stable per error class; `docs/ROBUSTNESS.md` lists
+//! them. `rfhc lint` exits 0 when only warnings were found; `rfhc client`
+//! maps a daemon error frame to the frame's own class code.
 
 use std::io::Read;
 use std::process::exit;
 
-use rfh::alloc::{allocate_with_hints, AllocConfig, LrfMode};
-use rfh::energy::EnergyModel;
+use rfh::alloc::LrfMode;
+use rfh::rfhd::{compute, launch_bound, orf_entries, Budgets, Failure, KernelSource, Op};
+use rfh::rfhd::{Endpoint, Outcome, Request};
+use rfh::sim::{timing, Engine};
 use rfh::{RfhError, EXIT_INTERNAL_PANIC};
+use rfh_testkit::env::parse_positive_usize;
 
 const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-partial] \
      [--no-readop] [--hints] [--plain] [--stats] [--jobs N] <kernel.rfasm | ->\n\
@@ -88,7 +83,7 @@ fn usage(msg: &str) -> RfhError {
 /// value warns loudly on stderr and falls back (exactly like a malformed
 /// `RFH_JOBS` env var) instead of inventing a third behavior.
 fn set_jobs(raw: &str) {
-    if let Some(n) = rfh_testkit::env::parse_positive_usize("--jobs", raw) {
+    if let Some(n) = parse_positive_usize("--jobs", raw) {
         std::env::set_var("RFH_JOBS", n.to_string());
     }
 }
@@ -113,170 +108,278 @@ fn main() {
 
 fn real_main() -> Result<(), RfhError> {
     let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("lint") {
-        args.next();
-        return lint_main(args);
-    }
-    if args.peek().map(String::as_str) == Some("trace") {
-        args.next();
-        return trace_main(args);
-    }
-    if args.peek().map(String::as_str) == Some("timing") {
-        args.next();
-        return timing_main(args);
-    }
-    if args.peek().map(String::as_str) == Some("serve") {
-        args.next();
-        return serve_main(args);
-    }
-    if args.peek().map(String::as_str) == Some("client") {
-        args.next();
-        return client_main(args);
-    }
-
-    let mut config = AllocConfig::three_level(3, true);
-    let mut hints = false;
-    let mut plain = false;
-    let mut stats_only = false;
-    let mut input: Option<String> = None;
-
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--orf" | "--lrf" => set_hierarchy_flag(&mut config, &arg, args.next())?,
-            "--no-partial" => config.partial_ranges = false,
-            "--no-readop" => config.read_operands = false,
-            "--hints" => hints = true,
-            "--plain" => plain = true,
-            "--stats" => stats_only = true,
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
-            "--help" | "-h" => return Err(usage("")),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
-            other => return Err(usage(&format!("unrecognized argument `{other}`"))),
-        }
-    }
-    let path = input.ok_or_else(|| usage("no input file"))?;
-    let text = read_input(&path)?;
-
-    let mut kernel = rfh::isa::parse_kernel(&text)?;
-
-    let stats = allocate_with_hints(&mut kernel, &config, &EnergyModel::paper(), hints)?;
-    if stats.demoted > 0 {
-        eprintln!(
-            "rfhc: warning: internal placement validation failed; \
-             kernel demoted to MRF-only placement ({} demotion)",
-            stats.demoted
-        );
-    }
-    if stats_only || !plain {
-        eprintln!(
-            "rfhc: {} — {} strands, {} LRF values, {} ORF values ({} partial), {} read operands",
-            config,
-            stats.strands,
-            stats.lrf_values,
-            stats.orf_values,
-            stats.orf_partial,
-            stats.read_operands
-        );
-    }
-    if stats_only {
-        return Ok(());
-    }
-    if plain {
-        print!("{}", rfh::isa::printer::print_kernel(&kernel));
-    } else {
-        print!("{}", rfh::isa::printer::print_kernel_annotated(&kernel));
-    }
-    Ok(())
-}
-
-/// Applies an `--orf N` or `--lrf none|unified|split` flag to `config`;
-/// the default, `lint` and `trace` subcommands share it. ORF sizes are
-/// bounded by the energy model at 8 entries (0 is the MRF-only baseline).
-fn set_hierarchy_flag(
-    config: &mut AllocConfig,
-    flag: &str,
-    value: Option<String>,
-) -> Result<(), RfhError> {
-    if flag == "--orf" {
-        let n = value.ok_or_else(|| usage("--orf needs a value"))?;
-        let n = n
-            .parse()
-            .map_err(|_| usage("--orf needs an integer value"))?;
-        if n > 8 {
-            return Err(usage("ORF sizes beyond 8 entries have no energy model"));
-        }
-        config.orf_entries = n;
-    } else {
-        config.lrf = value
-            .as_deref()
-            .and_then(LrfMode::from_name)
-            .ok_or_else(|| usage("--lrf needs none|unified|split"))?;
-    }
-    Ok(())
-}
-
-/// The `rfhc lint` subcommand: parse, validate, lint, render.
-///
-/// Diagnostics go to stdout (human lines, or JSON lines under `--json`);
-/// the summary goes to stderr. Error-severity findings exit 8; warnings
-/// and notes alone exit 0 — unless `--deny-warnings` turns *any* finding
-/// into the lint exit code (for CI gates that keep reports empty).
-fn lint_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Result<(), RfhError> {
-    let mut options = rfh::lint::LintOptions::default();
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut input: Option<String> = None;
-
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--orf" | "--lrf" => set_hierarchy_flag(&mut options.alloc, &arg, args.next())?,
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
-            "--help" | "-h" => return Err(usage("")),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
-            other => return Err(usage(&format!("unrecognized argument `{other}`"))),
-        }
-    }
-    let path = input.ok_or_else(|| usage("no input file"))?;
-    let text = read_input(&path)?;
-
-    let kernel = rfh::isa::parse_kernel(&text)?;
-    rfh::isa::validate(&kernel)?;
-
-    let name = if path == "-" {
-        "<stdin>"
-    } else {
-        path.as_str()
+    let op = match args.peek().map(String::as_str) {
+        Some("serve") => return serve_main(args.skip(1)),
+        Some("client") => return client_main(args.skip(1)),
+        Some("lint") => Op::Lint,
+        Some("trace") => Op::Trace,
+        Some("timing") => Op::Timing,
+        _ => Op::Allocate,
     };
-    let diags = rfh::lint::lint_kernel(&kernel, &options);
-    for d in &diags {
-        if json {
-            println!("{}", lint_json(name, d).render());
-        } else {
-            println!("{}", rfh::lint::human_line(name, d));
+    if op != Op::Allocate {
+        args.next();
+    }
+    let cli = parse_args(op, args)?;
+    let outcome = compute(&cli.req, &Budgets::default(), None).map_err(failure)?;
+    render(&cli, outcome)
+}
+
+/// Output format of `rfhc trace`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TraceFormat {
+    Json,
+    Chrome,
+    Profile,
+}
+
+/// A compute subcommand's request plus the render-only flags.
+struct Cli {
+    req: Request,
+    /// The kernel's name in the output: its path (`-` for stdin) or
+    /// workload name.
+    name: String,
+    plain: bool,
+    stats_only: bool,
+    /// `--json`, `--chrome` or `--profile`, the last one given.
+    format: Option<TraceFormat>,
+    deny_warnings: bool,
+}
+
+/// The one argv parser of the compute subcommands: the flags fill the
+/// same [`Request`] fields the daemon decodes, under the same rules. Each
+/// flag's arm names the subcommands that take it; any other flag is
+/// unrecognized.
+fn parse_args(op: Op, mut args: impl Iterator<Item = String>) -> Result<Cli, RfhError> {
+    use Op::{Allocate, Lint, Timing, Trace};
+    let mut cli = Cli {
+        req: Request::new(op),
+        name: String::new(),
+        plain: false,
+        stats_only: false,
+        format: None,
+        deny_warnings: false,
+    };
+    let req = &mut cli.req;
+    // `rfhc trace` always reports the profile's total energy on stderr.
+    req.profile = op == Trace;
+    let mut input: Option<String> = None;
+    let mut workload: Option<String> = None;
+    let mut own_launch = false;
+    while let Some(arg) = args.next() {
+        let needs = |what: &str| usage(&format!("{arg} needs {what}"));
+        let mut value = |what: &str| args.next().ok_or_else(|| needs(what));
+        match (arg.as_str(), op) {
+            ("--jobs", _) => set_jobs(&value("a value")?),
+            ("--help" | "-h", _) => return Err(usage("")),
+            ("--workload", _) => workload = Some(value("a name")?),
+            ("-", _) if input.is_none() => input = Some("-".into()),
+            (other, _) if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
+            ("--orf", Allocate | Lint | Trace) => {
+                let n = value("a value")?;
+                let n = n.parse().map_err(|_| needs("an integer value"))?;
+                req.config.orf_entries = orf_entries(n)
+                    .ok_or_else(|| usage("ORF sizes beyond 8 entries have no energy model"))?;
+            }
+            ("--lrf", Allocate | Lint | Trace) => {
+                let what = "none|unified|split";
+                req.config.lrf = LrfMode::from_name(&value(what)?).ok_or_else(|| needs(what))?;
+            }
+            ("--no-partial", Allocate | Trace) => req.config.partial_ranges = false,
+            ("--no-readop", Allocate | Trace) => req.config.read_operands = false,
+            ("--hints", Allocate | Trace) => req.hints = true,
+            ("--baseline", Trace) => req.baseline = true,
+            ("--plain", Allocate) => cli.plain = true,
+            ("--stats", Allocate) => cli.stats_only = true,
+            ("--json", Lint | Trace) => cli.format = Some(TraceFormat::Json),
+            ("--chrome", Trace) => cli.format = Some(TraceFormat::Chrome),
+            ("--profile", Trace) => cli.format = Some(TraceFormat::Profile),
+            ("--deny-warnings", Lint) => cli.deny_warnings = true,
+            ("--ctas" | "--threads", Trace | Timing) | ("--sms", Timing) => {
+                let what = "a positive integer";
+                let n = value(what)?.parse().ok().filter(|&n| n >= 1);
+                let n = n.ok_or_else(|| needs(what))?;
+                let n = launch_bound(n).ok_or_else(|| usage(&format!("{arg} is at most 4096")))?;
+                match arg.as_str() {
+                    "--ctas" => req.ctas = n,
+                    "--threads" => req.threads = n,
+                    _ => req.sms = n,
+                }
+                own_launch |= arg != "--sms";
+            }
+            ("--engine", Trace) => {
+                let what = "soa|reference";
+                req.engine = Engine::from_name(&value(what)?).ok_or_else(|| needs(what))?;
+            }
+            ("--engine", Timing) => {
+                let what = "staged|reference";
+                let engine = timing::Engine::from_name(&value(what)?);
+                req.model.engine = engine.ok_or_else(|| needs(what))?;
+            }
+            ("--active", Timing) => {
+                let what = "an integer value";
+                req.active_warps = value(what)?.parse().map_err(|_| needs(what))?;
+            }
+            ("--single-level", Timing) => req.model.single_level = true,
+            ("--greedy", Timing) => req.model.greedy = true,
+            ("--uncontended", Timing) => req.model.uncontended = true,
+            (flag, _) => return Err(usage(&format!("unrecognized argument `{flag}`"))),
         }
     }
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity() == rfh::lint::Severity::Error)
-        .count();
-    let notes = diags
-        .iter()
-        .filter(|d| d.severity() == rfh::lint::Severity::Note)
-        .count();
-    let warnings = diags.len() - errors - notes;
-    eprintln!("rfhc lint: {errors} error(s), {warnings} warning(s), {notes} note(s)");
-    if errors > 0 {
-        return Err(RfhError::Lint { errors });
+    let (name, source) = match (workload, input) {
+        (Some(_), Some(_)) => {
+            return Err(usage("--workload and a kernel file are mutually exclusive"))
+        }
+        (Some(_), None) if own_launch => {
+            return Err(usage(
+                "--ctas/--threads do not apply to --workload (it brings its own launch)",
+            ))
+        }
+        (Some(name), None) => (name.clone(), KernelSource::Workload(name)),
+        (None, Some(path)) => {
+            let text = read_input(&path)?;
+            (path, KernelSource::Text(text))
+        }
+        (None, None) if op == Op::Timing => {
+            return Err(usage("timing needs --workload NAME or a kernel file"))
+        }
+        (None, None) => return Err(usage("no input file")),
+    };
+    req.source = Some(source);
+    cli.name = name;
+    Ok(cli)
+}
+
+/// `rfhc`'s wording of a compute failure; the class, and so the exit
+/// code, is the daemon's.
+fn failure(f: Failure) -> RfhError {
+    match f {
+        Failure::Usage(msg) => usage(&msg),
+        Failure::UnknownWorkload(name) => usage(&format!(
+            "unknown workload `{name}` (see `rfh::workloads::all`)"
+        )),
+        Failure::Isa(e) => e.into(),
+        Failure::Alloc(e) => e.into(),
+        Failure::Exec(e) => e.into(),
+        Failure::Timing(e) => e.into(),
     }
-    if deny_warnings && !diags.is_empty() {
-        eprintln!("rfhc lint: --deny-warnings treats every finding as an error");
-        return Err(RfhError::Lint {
-            errors: diags.len(),
-        });
+}
+
+/// Renders a compute outcome: results on stdout, summaries on stderr.
+///
+/// `rfhc lint` prints every diagnostic (human lines, or JSON lines under
+/// `--json`) and exits 8 on error-severity findings; warnings and notes
+/// alone exit 0 unless `--deny-warnings` turns *any* finding into the
+/// lint exit code (for CI gates that keep reports empty). `rfhc timing`
+/// prints one line per SM and the chip total, folded in SM order, so the
+/// output is byte-identical at any `--jobs` count.
+fn render(cli: &Cli, outcome: Outcome) -> Result<(), RfhError> {
+    match outcome {
+        Outcome::Allocated { kernel, stats, .. } => {
+            if stats.demoted > 0 {
+                eprintln!(
+                    "rfhc: warning: internal placement validation failed; \
+                     kernel demoted to MRF-only placement ({} demotion)",
+                    stats.demoted
+                );
+            }
+            if cli.stats_only || !cli.plain {
+                eprintln!(
+                    "rfhc: {} — {} strands, {} LRF values, {} ORF values ({} partial), \
+                     {} read operands",
+                    cli.req.config,
+                    stats.strands,
+                    stats.lrf_values,
+                    stats.orf_values,
+                    stats.orf_partial,
+                    stats.read_operands
+                );
+            }
+            if !cli.stats_only {
+                print!(
+                    "{}",
+                    if cli.plain {
+                        rfh::isa::printer::print_kernel(&kernel)
+                    } else {
+                        rfh::isa::printer::print_kernel_annotated(&kernel)
+                    }
+                );
+            }
+        }
+        Outcome::Linted(diags) => {
+            let name = if cli.name == "-" {
+                "<stdin>"
+            } else {
+                &cli.name
+            };
+            for d in &diags {
+                if cli.format == Some(TraceFormat::Json) {
+                    println!("{}", lint_json(name, d).render());
+                } else {
+                    println!("{}", rfh::lint::human_line(name, d));
+                }
+            }
+            let count = |s| diags.iter().filter(|d| d.severity() == s).count();
+            let errors = count(rfh::lint::Severity::Error);
+            let notes = count(rfh::lint::Severity::Note);
+            let warnings = diags.len() - errors - notes;
+            eprintln!("rfhc lint: {errors} error(s), {warnings} warning(s), {notes} note(s)");
+            if errors > 0 {
+                return Err(RfhError::Lint { errors });
+            }
+            if cli.deny_warnings && !diags.is_empty() {
+                eprintln!("rfhc lint: --deny-warnings treats every finding as an error");
+                return Err(RfhError::Lint {
+                    errors: diags.len(),
+                });
+            }
+        }
+        Outcome::Traced { exporter, profiler } => {
+            let profiler = profiler.expect("`rfhc trace` asks for the profile");
+            match cli.format.unwrap_or(TraceFormat::Json) {
+                TraceFormat::Json => print!("{}", exporter.json_lines()),
+                TraceFormat::Chrome => print!("{}", exporter.chrome_trace()),
+                TraceFormat::Profile => print!("{}", profiler.render()),
+            }
+            eprintln!(
+                "rfhc trace: {} — {} strand(s), total energy {:.3} pJ",
+                exporter.summary(),
+                profiler.counter().per_strand().len(),
+                profiler.total_energy().total()
+            );
+        }
+        Outcome::Timed(result) => {
+            for s in &result.per_sm {
+                println!(
+                    "sm {}: ctas {} warps {} cycles {} instructions {} deschedules {} ipc {:.4}",
+                    s.sm,
+                    s.ctas,
+                    s.warps,
+                    s.result.cycles,
+                    s.result.instructions,
+                    s.result.deschedules,
+                    s.result.ipc()
+                );
+            }
+            let sms = cli.req.sms;
+            println!(
+                "total: sms {sms} cycles {} instructions {} deschedules {} ipc {:.4}",
+                result.cycles(),
+                result.instructions(),
+                result.deschedules(),
+                result.ipc()
+            );
+            eprintln!(
+                "rfhc timing: {} — {} warp(s) in {} CTA(s) across {sms} SM(s), \
+                 engine {}, chip IPC {:.4}",
+                cli.name,
+                result.per_sm.iter().map(|s| s.warps).sum::<usize>(),
+                result.per_sm.iter().map(|s| s.ctas).sum::<usize>(),
+                cli.req.model.engine.name(),
+                result.ipc()
+            );
+        }
+        // No `rfhc` subcommand builds the other ops.
+        Outcome::Pong | Outcome::Assembled(_) | Outcome::Simulated { .. } => {}
     }
     Ok(())
 }
@@ -298,303 +401,6 @@ fn lint_json(kernel_name: &str, d: &rfh::lint::Diagnostic) -> rfh::rfhd::Json {
     ])
 }
 
-/// Output format of `rfhc trace`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Json,
-    Chrome,
-    Profile,
-}
-
-/// The `rfhc trace` subcommand: parse, allocate (unless `--baseline`),
-/// execute, and export the structured trace.
-///
-/// The trace goes to stdout in the selected format (JSON lines by
-/// default); a one-line summary goes to stderr. The executor drives the
-/// exporter and the per-strand energy profiler side by side.
-fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Result<(), RfhError> {
-    let mut config = AllocConfig::three_level(3, true);
-    let mut hints = false;
-    let mut baseline = false;
-    let mut format = TraceFormat::Json;
-    let mut ctas: usize = 1;
-    let mut threads: usize = 64;
-    let mut engine = rfh::sim::Engine::default();
-    let mut input: Option<String> = None;
-
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--orf" | "--lrf" => set_hierarchy_flag(&mut config, &arg, args.next())?,
-            "--no-partial" => config.partial_ranges = false,
-            "--no-readop" => config.read_operands = false,
-            "--hints" => hints = true,
-            "--baseline" => baseline = true,
-            "--json" => format = TraceFormat::Json,
-            "--chrome" => format = TraceFormat::Chrome,
-            "--profile" => format = TraceFormat::Profile,
-            "--ctas" => {
-                ctas = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--ctas needs a positive integer"))?;
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--threads needs a positive integer"))?;
-            }
-            "--engine" => {
-                engine = args
-                    .next()
-                    .as_deref()
-                    .and_then(rfh::sim::Engine::from_name)
-                    .ok_or_else(|| usage("--engine needs soa|reference"))?;
-            }
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
-            "--help" | "-h" => return Err(usage("")),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
-            other => return Err(usage(&format!("unrecognized argument `{other}`"))),
-        }
-    }
-    let path = input.ok_or_else(|| usage("no input file"))?;
-    let text = read_input(&path)?;
-
-    let mut kernel = rfh::isa::parse_kernel(&text)?;
-    let mode = if baseline {
-        rfh::isa::validate(&kernel)?;
-        rfh::sim::ExecMode::Baseline
-    } else {
-        allocate_with_hints(&mut kernel, &config, &EnergyModel::paper(), hints)?;
-        rfh::sim::ExecMode::Hierarchy(config)
-    };
-
-    let mut exporter = rfh::sim::TraceExporter::new(&kernel);
-    let mut profiler =
-        rfh::sim::EnergyProfiler::new(&kernel, EnergyModel::paper(), config.orf_entries);
-
-    let launch = rfh::sim::Launch::new(ctas, threads);
-    let mut mem = rfh::sim::GlobalMemory::new(1 << 16);
-    let machine = rfh::sim::MachineConfig::paper();
-    rfh::sim::execute_with_engine(
-        &kernel,
-        &launch,
-        &mut mem,
-        mode,
-        &machine,
-        engine,
-        &mut [&mut exporter, &mut profiler],
-    )?;
-
-    match format {
-        TraceFormat::Json => print!("{}", exporter.json_lines()),
-        TraceFormat::Chrome => print!("{}", exporter.chrome_trace()),
-        TraceFormat::Profile => print!("{}", profiler.render()),
-    }
-    eprintln!(
-        "rfhc trace: {} — {} strand(s), total energy {:.3} pJ",
-        exporter.summary(),
-        profiler.counter().per_strand().len(),
-        profiler.total_energy().total()
-    );
-    Ok(())
-}
-
-/// The `rfhc timing` subcommand: capture a baseline instruction trace
-/// and replay it through the cycle-level scheduler model across `--sms`
-/// SM contexts.
-///
-/// The kernel comes from `--workload NAME` (a paper-suite workload with
-/// its own launch geometry and memory image) or a kernel file; the
-/// per-SM result table goes to stdout and a chip-level summary to
-/// stderr. SMs simulate in parallel over the worker pool with results
-/// folded in SM order, so the output is byte-identical at any `--jobs`
-/// count.
-fn timing_main(
-    mut args: std::iter::Peekable<impl Iterator<Item = String>>,
-) -> Result<(), RfhError> {
-    use rfh::sim::timing::{Engine, MemoryModel, MultiSmConfig, TimingConfig, TraceCapture};
-
-    let mut sms: usize = 1;
-    let mut engine = Engine::default();
-    let mut active: usize = 8;
-    let mut single_level = false;
-    let mut greedy = false;
-    let mut uncontended = false;
-    let mut ctas: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut workload: Option<String> = None;
-    let mut input: Option<String> = None;
-
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--sms" => {
-                sms = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--sms needs a positive integer"))?;
-            }
-            "--engine" => {
-                engine = args
-                    .next()
-                    .as_deref()
-                    .and_then(Engine::from_name)
-                    .ok_or_else(|| usage("--engine needs staged|reference"))?;
-            }
-            "--active" => {
-                active = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .ok_or_else(|| usage("--active needs an integer value"))?;
-            }
-            "--single-level" => single_level = true,
-            "--greedy" => greedy = true,
-            "--uncontended" => uncontended = true,
-            "--ctas" => {
-                ctas = Some(
-                    args.next()
-                        .and_then(|n| n.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| usage("--ctas needs a positive integer"))?,
-                );
-            }
-            "--threads" => {
-                threads = Some(
-                    args.next()
-                        .and_then(|n| n.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| usage("--threads needs a positive integer"))?,
-                );
-            }
-            "--workload" => {
-                workload = Some(
-                    args.next()
-                        .ok_or_else(|| usage("--workload needs a name"))?,
-                )
-            }
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
-            "--help" | "-h" => return Err(usage("")),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
-            other => return Err(usage(&format!("unrecognized argument `{other}`"))),
-        }
-    }
-
-    // The trace source: a paper-suite workload (own launch geometry and
-    // memory image) or a kernel file under `--ctas`/`--threads`.
-    let machine = rfh::sim::MachineConfig::paper();
-    let (name, kernel, launch, mut mem) = match (&workload, &input) {
-        (Some(_), Some(_)) => {
-            return Err(usage("--workload and a kernel file are mutually exclusive"))
-        }
-        (Some(_), None) if ctas.is_some() || threads.is_some() => {
-            return Err(usage(
-                "--ctas/--threads do not apply to --workload (it brings its own launch)",
-            ))
-        }
-        (Some(name), None) => {
-            let w = rfh::workloads::by_name(name).ok_or_else(|| {
-                usage(&format!(
-                    "unknown workload `{name}` (see `rfh::workloads::all`)"
-                ))
-            })?;
-            (w.name.to_string(), w.kernel, w.launch, w.memory)
-        }
-        (None, Some(path)) => {
-            let text = read_input(path)?;
-            let kernel = rfh::isa::parse_kernel(&text)?;
-            rfh::isa::validate(&kernel)?;
-            (
-                path.clone(),
-                kernel,
-                rfh::sim::Launch::new(ctas.unwrap_or(1), threads.unwrap_or(64)),
-                rfh::sim::GlobalMemory::new(1 << 16),
-            )
-        }
-        (None, None) => return Err(usage("timing needs --workload NAME or a kernel file")),
-    };
-
-    let mut cap = TraceCapture::new(machine.clone(), launch.threads_per_cta);
-    rfh::sim::exec::execute_with(
-        &kernel,
-        &launch,
-        &mut mem,
-        rfh::sim::ExecMode::Baseline,
-        &machine,
-        &mut [&mut cap],
-    )?;
-
-    let mut per_sm = if single_level {
-        TimingConfig::single_level()
-    } else {
-        TimingConfig::two_level(active)
-    };
-    if greedy {
-        per_sm = per_sm.with_policy(rfh::sim::SchedPolicy::Greedy);
-    }
-    let mut config = MultiSmConfig::new(sms, per_sm).with_engine(engine);
-    if uncontended {
-        config = config.with_memory(MemoryModel::uncontended());
-    }
-
-    let result = rfh::sim::timing::simulate_multi_sm(&cap.traces, &|w| cap.cta_of(w), &config)?;
-    for s in &result.per_sm {
-        println!(
-            "sm {}: ctas {} warps {} cycles {} instructions {} deschedules {} ipc {:.4}",
-            s.sm,
-            s.ctas,
-            s.warps,
-            s.result.cycles,
-            s.result.instructions,
-            s.result.deschedules,
-            s.result.ipc()
-        );
-    }
-    println!(
-        "total: sms {} cycles {} instructions {} deschedules {} ipc {:.4}",
-        sms,
-        result.cycles(),
-        result.instructions(),
-        result.deschedules(),
-        result.ipc()
-    );
-    eprintln!(
-        "rfhc timing: {name} — {} warp(s) in {} CTA(s) across {sms} SM(s), \
-         engine {}, chip IPC {:.4}",
-        cap.traces.len(),
-        launch.ctas,
-        engine.name(),
-        result.ipc()
-    );
-    Ok(())
-}
-
-/// Parses the shared `--tcp HOST:PORT | --unix PATH` endpoint flags.
-/// Returns `None` when the argument is not an endpoint flag.
-fn parse_endpoint_flag(
-    arg: &str,
-    args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
-    endpoint: &mut Option<rfh::rfhd::Endpoint>,
-) -> Result<bool, RfhError> {
-    match arg {
-        "--tcp" => {
-            let addr = args.next().ok_or_else(|| usage("--tcp needs HOST:PORT"))?;
-            *endpoint = Some(rfh::rfhd::Endpoint::Tcp(addr));
-            Ok(true)
-        }
-        "--unix" => {
-            let path = args.next().ok_or_else(|| usage("--unix needs a path"))?;
-            *endpoint = Some(rfh::rfhd::Endpoint::Unix(path.into()));
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
-}
-
 /// The `rfhc serve` subcommand: run the compile-service daemon in the
 /// foreground until a `shutdown` request drains it.
 ///
@@ -603,22 +409,18 @@ fn parse_endpoint_flag(
 /// accept-queue depth, and the result-cache capacity; all three follow
 /// the shared knob grammar (decimal or `0x`-hex, loud warning and
 /// fallback on a malformed value).
-fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Result<(), RfhError> {
-    let mut endpoint: Option<rfh::rfhd::Endpoint> = None;
+fn serve_main(mut args: impl Iterator<Item = String>) -> Result<(), RfhError> {
+    let mut endpoint: Option<Endpoint> = None;
     let mut workers: Option<usize> = None;
     while let Some(arg) = args.next() {
-        if parse_endpoint_flag(&arg, &mut args, &mut endpoint)? {
-            continue;
-        }
+        let needs = |what: &str| usage(&format!("{arg} needs {what}"));
+        let mut value = |what: &str| args.next().ok_or_else(|| needs(what));
         match arg.as_str() {
+            "--tcp" => endpoint = Some(Endpoint::Tcp(value("HOST:PORT")?)),
+            "--unix" => endpoint = Some(Endpoint::Unix(value("a path")?.into())),
             "--workers" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| usage("--workers needs a value"))?;
-                workers = Some(
-                    rfh_testkit::env::parse_positive_usize("--workers", &raw)
-                        .ok_or_else(|| usage("--workers needs a positive integer"))?,
-                );
+                let n = parse_positive_usize("--workers", &value("a value")?);
+                workers = Some(n.ok_or_else(|| needs("a positive integer"))?);
             }
             "--help" | "-h" => return Err(usage("")),
             other => return Err(usage(&format!("unrecognized argument `{other}`"))),
@@ -659,10 +461,8 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
 /// the `result` JSON on stdout, and exits with the error frame's own
 /// class code on failure — remote failures script exactly like local
 /// ones.
-fn client_main(
-    mut args: std::iter::Peekable<impl Iterator<Item = String>>,
-) -> Result<(), RfhError> {
-    let mut endpoint: Option<rfh::rfhd::Endpoint> = None;
+fn client_main(mut args: impl Iterator<Item = String>) -> Result<(), RfhError> {
+    let mut endpoint: Option<Endpoint> = None;
     let mut op = "ping".to_string();
     let mut workload: Option<String> = None;
     let mut input: Option<String> = None;
@@ -674,38 +474,27 @@ fn client_main(
     let mut jobs: usize = rfh_testkit::pool::jobs();
 
     while let Some(arg) = args.next() {
-        if parse_endpoint_flag(&arg, &mut args, &mut endpoint)? {
-            continue;
-        }
+        let needs = |what: &str| usage(&format!("{arg} needs {what}"));
+        let mut value = |what: &str| args.next().ok_or_else(|| needs(what));
         match arg.as_str() {
-            "--op" => op = args.next().ok_or_else(|| usage("--op needs a value"))?,
-            "--workload" => {
-                workload = Some(
-                    args.next()
-                        .ok_or_else(|| usage("--workload needs a name"))?,
-                )
-            }
+            "--tcp" => endpoint = Some(Endpoint::Tcp(value("HOST:PORT")?)),
+            "--unix" => endpoint = Some(Endpoint::Unix(value("a path")?.into())),
+            "--op" => op = value("a value")?,
+            "--workload" => workload = Some(value("a name")?),
             "--timeout-ms" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| usage("--timeout-ms needs a value"))?;
-                timeout_ms = Some(
-                    rfh_testkit::env::parse_u64("--timeout-ms", &raw)
-                        .ok_or_else(|| usage("--timeout-ms needs an integer"))?,
-                );
+                let ms = rfh_testkit::env::parse_u64("--timeout-ms", &value("a value")?);
+                timeout_ms = Some(ms.ok_or_else(|| needs("an integer"))?);
             }
             "--replay-workloads" => replay = true,
             "--edit-replay" => edit = true,
             "--malformed-probe" => malformed = true,
             "--rounds" => {
-                let raw = args.next().ok_or_else(|| usage("--rounds needs a value"))?;
-                rounds = rfh_testkit::env::parse_positive_usize("--rounds", &raw)
-                    .ok_or_else(|| usage("--rounds needs a positive integer"))?;
+                let n = parse_positive_usize("--rounds", &value("a value")?);
+                rounds = n.ok_or_else(|| needs("a positive integer"))?;
             }
             "--jobs" => {
-                let raw = args.next().ok_or_else(|| usage("--jobs needs a value"))?;
-                jobs = rfh_testkit::env::parse_positive_usize("--jobs", &raw)
-                    .ok_or_else(|| usage("--jobs needs a positive integer"))?;
+                let n = parse_positive_usize("--jobs", &value("a value")?);
+                jobs = n.ok_or_else(|| needs("a positive integer"))?;
             }
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
@@ -821,19 +610,14 @@ fn client_main(
 
 /// Reads the kernel text from a file path or stdin (`-`).
 fn read_input(path: &str) -> Result<String, RfhError> {
-    if path == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|source| RfhError::Io {
-                path: "-".into(),
-                source,
-            })?;
-        Ok(buf)
+    let mut buf = String::new();
+    let read = if path == "-" {
+        std::io::stdin().read_to_string(&mut buf).map(|_| buf)
     } else {
-        std::fs::read_to_string(path).map_err(|source| RfhError::Io {
-            path: path.to_string(),
-            source,
-        })
-    }
+        std::fs::read_to_string(path)
+    };
+    read.map_err(|source| RfhError::Io {
+        path: path.to_string(),
+        source,
+    })
 }

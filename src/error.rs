@@ -33,6 +33,7 @@ use std::fmt;
 
 use rfh_alloc::AllocError;
 use rfh_isa::IsaError;
+use rfh_rfhd::ErrorKind;
 use rfh_sim::{ExecError, TimingError};
 
 /// Exit code used when the driver's `catch_unwind` boundary traps a panic
@@ -81,22 +82,20 @@ pub enum RfhError {
 
 impl RfhError {
     /// The stable process exit code for this error class (see the module
-    /// docs for the full table).
+    /// docs for the full table). Every pipeline class takes its code from
+    /// [`ErrorKind::exit_code`], the table the daemon's frames use too.
     pub fn exit_code(&self) -> i32 {
-        match self {
-            RfhError::Io { .. } => 1,
-            RfhError::Usage(_) => 2,
-            RfhError::Isa(IsaError::Parse { .. }) => 3,
-            RfhError::Isa(IsaError::Validate { .. }) => 4,
-            // An invalid kernel is the same failure whether the caller or
-            // the allocator noticed it first.
-            RfhError::Alloc(AllocError::InvalidKernel(_)) => 4,
-            RfhError::Alloc(AllocError::Config(_)) => 5,
-            RfhError::Exec(_) => 6,
-            RfhError::Timing(_) => 7,
-            RfhError::Lint { .. } => 8,
-            RfhError::Daemon { code, .. } => *code,
-        }
+        let kind = match self {
+            RfhError::Io { .. } => return 1,
+            RfhError::Daemon { code, .. } => return *code,
+            RfhError::Usage(_) => ErrorKind::Usage,
+            RfhError::Isa(e) => ErrorKind::of_isa(e),
+            RfhError::Alloc(e) => ErrorKind::of_alloc(e),
+            RfhError::Exec(_) => ErrorKind::Exec,
+            RfhError::Timing(_) => ErrorKind::Timing,
+            RfhError::Lint { .. } => ErrorKind::Lint,
+        };
+        kind.exit_code()
     }
 }
 

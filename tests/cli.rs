@@ -597,3 +597,117 @@ fn client_timeout_flag_bounds_a_runaway_kernel() {
     let served = child.wait_with_output().expect("wait rfhc serve");
     assert_eq!(served.status.code(), Some(0), "{served:?}");
 }
+
+// --- one front end: rfhc and the daemon's handler agree ----------------
+
+/// Runs one request through the daemon's decoder and handler, in process.
+fn rfhd(fields: &str) -> rfh::rfhd::Json {
+    let text = format!("{{\"schema\":\"rfhd-v1\",{fields}}}");
+    let doc = rfh::rfhd::json::parse(&text).expect("request parses");
+    let req = rfh::rfhd::decode_request(&doc).expect("request decodes");
+    let budgets = rfh::rfhd::Budgets::default();
+    rfh::rfhd::handle(&req, &budgets).expect("request succeeds")
+}
+
+#[test]
+fn rfhc_and_rfhd_trace_export_the_same_jsonl() {
+    let path = "examples/trace_golden.rfasm";
+    let out = rfhc(&["trace", "--json", path]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let kernel = std::fs::read_to_string(path).expect("golden kernel");
+    let kernel = rfh::rfhd::Json::str(kernel).render();
+    let served = rfhd(&format!("\"op\":\"trace\",\"kernel\":{kernel}"));
+    let jsonl = served.get("jsonl").and_then(rfh::rfhd::Json::as_str);
+    assert_eq!(Some(String::from_utf8_lossy(&out.stdout).as_ref()), jsonl);
+}
+
+#[test]
+fn rfhc_and_rfhd_timing_agree_across_sms() {
+    let out = rfhc(&["timing", "--workload", "reduction", "--sms", "2"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let total = stdout
+        .lines()
+        .find(|l| l.starts_with("total: sms 2 "))
+        .expect("total line");
+    let cycles: u64 = total
+        .split_whitespace()
+        .skip_while(|w| *w != "cycles")
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .expect("total cycles");
+    let served = rfhd("\"op\":\"timing\",\"workload\":\"reduction\",\"sms\":2");
+    assert_eq!(served.get("cycles").and_then(|c| c.as_u64()), Some(cycles));
+    let one = rfhd("\"op\":\"timing\",\"workload\":\"reduction\"");
+    assert_ne!(
+        one.get("cycles"),
+        served.get("cycles"),
+        "sms reaches the model"
+    );
+}
+
+#[test]
+fn rfhc_and_rfhd_hinted_allocations_agree() {
+    // Hints change this workload's allocation, so a daemon that ignored
+    // `hints` could not match.
+    let counts = |args: &[&str]| {
+        let out = rfhc(args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        let line = stderr.split(" — ").nth(1).expect("stats line").to_string();
+        let nums: Vec<u64> = line
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect();
+        nums
+    };
+    let hinted = counts(&["--stats", "--hints", "--workload", "reduction"]);
+    let plain = counts(&["--stats", "--workload", "reduction"]);
+    assert_ne!(hinted, plain, "hints change the allocation");
+
+    let served = rfhd("\"op\":\"allocate\",\"workload\":\"reduction\",\"hints\":true");
+    let stats = served.get("stats").expect("stats");
+    let field = |k: &str| stats.get(k).and_then(|v| v.as_u64()).expect(k);
+    let fields = [
+        "strands",
+        "lrf_values",
+        "orf_values",
+        "orf_partial",
+        "read_operands",
+    ];
+    let served: Vec<u64> = fields.iter().map(|k| field(k)).collect();
+    assert_eq!(hinted, served);
+}
+
+#[test]
+fn launch_dimensions_share_the_daemon_bound() {
+    // `--ctas`, `--threads` and `--sms` take 1..=4096, as the daemon's
+    // `ctas`, `threads` and `sms` fields do.
+    for args in [
+        &["trace", "--ctas", "4097", "x.rfasm"][..],
+        &["trace", "--threads", "5000", "x.rfasm"],
+        &["timing", "--sms", "4097", "--workload", "vectoradd"],
+    ] {
+        let out = rfhc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("is at most 4096"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn every_compute_subcommand_takes_a_workload() {
+    for args in [
+        &["--stats", "--workload", "vectoradd"][..],
+        &["lint", "--workload", "vectoradd"],
+        &["trace", "--workload", "vectoradd"],
+    ] {
+        let out = rfhc(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+    }
+    // A workload brings its own launch in every subcommand.
+    let out = rfhc(&["trace", "--workload", "vectoradd", "--ctas", "2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
